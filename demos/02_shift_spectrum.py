@@ -64,5 +64,5 @@ print(f"correlation via samples        {cyclic_correlation(x):.15f}")
 print(f"correlation via canonical form {q:.15f}")
 
 # Parseval: block energies add up to |x|^2
-energies = block_energies(x, basis)
+energies = block_energies(x)
 print(f"sum of block energies - |x|^2  {sum(energies.values()) - x @ x:.3e}")

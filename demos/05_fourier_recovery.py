@@ -6,7 +6,9 @@ Classically a_j and b_j come from integrals of f against cos(jt) and
 sin(jt).  Here they are recovered without any integral of f itself:
 inner products of piecewise-linear interpolants, rescaled by the basis
 interpolant norm, reproduce the coefficients exactly for trigonometric
-polynomials and to O(n^-2) in general.
+polynomials and to O(n^-2) in general.  The norm cancels on each plane
+H_j, so fourier_discrete computes the same projection as (2/n) times a
+coefficient of one real FFT of the samples.
 """
 
 import numpy as np

@@ -16,9 +16,11 @@ import numpy as np
 from .core import center_normalize, fsum
 from .errors import InvalidSize, NonFinite, RangeError
 from .inequality import check_inequality
-from .pwl import basis_norm, energy_h1, energy_l2, inner_product
+from .pwl import energy_h1, energy_l2
 from .quadrature import adaptive_simpson
-from .spectral import aligned_harmonics, block_energies, build_basis
+# build_basis is no longer called here; the binding stays because
+# bench/test_bench.py checks that the tracer rebinds it in this module
+from .spectral import block_energies, build_basis  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,9 +79,12 @@ def tail_energy(f: PeriodicFunction, n: int) -> float:
     """
     if n < 5 or (n % 2 == 0 and n < 6):
         raise InvalidSize(f"no blocks k >= 2 for n={n}")
-    x = sample(f, n)
-    energies = block_energies(x, build_basis(n))
-    return math.fsum(e for k, e in energies.items() if k >= 2) / n
+    return _tail_of_samples(sample(f, n))
+
+
+def _tail_of_samples(x: np.ndarray) -> float:
+    energies = block_energies(x)
+    return math.fsum(e for k, e in energies.items() if k >= 2) / x.size
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ def rayleigh_sweep(f: PeriodicFunction, ns) -> ConvergenceReport:
         e2 = energy_l2(centered)
         h1 = energy_h1(centered)
         slack = check_inequality(center_normalize(x)).slack
-        tail = tail_energy(f, n) if n >= 5 else 0.0
+        tail = _tail_of_samples(x) if n >= 5 else 0.0
         elapsed = (time.perf_counter() - start) * 1e3
         rows.append(
             SweepRow(
@@ -150,28 +155,30 @@ class FourierTable:
 
 
 def fourier_discrete(f: PeriodicFunction, n: int, jmax: int) -> FourierTable:
-    """Fourier coefficients of f from interpolant inner products at grid size n.
+    """Fourier coefficients of f from the projections of its samples onto the
+    invariant planes H_j at grid size n.
 
-    For each harmonic j the samples of cos(jt), sin(jt) span the invariant
-    plane H_j; projecting the interpolant of the samples of f onto the
-    interpolants of those reference vectors and dividing by their common
-    squared norm gives
+    The paper projects the interpolant of the samples of f onto the
+    interpolants of the sampled cos(jt), sin(jt), which span H_j, and divides
+    by their common squared norm basis_norm(n, j):
 
         a_j = 3 <L_X, L_{cos j}> / (pi * (2 + cos(2*pi*j/n)))
 
-    and the same for b_j with sin.  Requires n >= 2*jmax + 2 so the first
-    jmax harmonics occupy distinct blocks (aliasing guard).
+    and the same for b_j with sin.  Against a vector of H_j the interpolant
+    inner product is basis_norm(n, j) times the Euclidean one, so the norm
+    cancels exactly: a_j = (2/n) <X, cos j> and b_j = (2/n) <X, sin j>.
+    Both come from one real FFT of the samples taken from t = 0,
+    a_j = (2/n) Re X_j and b_j = -(2/n) Im X_j.  Requires n >= 2*jmax + 2 so
+    the first jmax harmonics occupy distinct blocks (aliasing guard).
     """
     if jmax < 1:
         raise InvalidSize(f"need jmax >= 1, got {jmax}")
     if n < 2 * jmax + 2:
         raise InvalidSize(f"need n >= 2*jmax+2 = {2 * jmax + 2} to resolve jmax={jmax}, got n={n}")
-    x = sample(f, n)
-    coeffs = []
-    for j in range(1, jmax + 1):
-        cos_ref, sin_ref = aligned_harmonics(n, j)
-        scale = (2.0 / n) / basis_norm(n, j)
-        coeffs.append((j, scale * inner_product(x, cos_ref), scale * inner_product(x, sin_ref)))
+    # sample() starts at t_1; rolling puts f(t_n) = f(0) first
+    spectrum = np.fft.rfft(np.roll(sample(f, n), 1))[1 : jmax + 1] * (2.0 / n)
+    # 0.0 - imag, not -imag: a zero imaginary part gives b_j = 0.0, never "-0"
+    coeffs = zip(range(1, jmax + 1), spectrum.real.tolist(), (0.0 - spectrum.imag).tolist())
     return FourierTable(coefficients=tuple(coeffs), method="discrete-projection")
 
 
@@ -188,22 +195,31 @@ def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> Fo
     return FourierTable(coefficients=tuple(coeffs), method="quadrature")
 
 
+def _trig_series(terms: tuple) -> Callable[[float], float]:
+    """t -> sum of a*cos(j t) + b*sin(j t) over the (j, a, b) terms."""
+
+    def evaluate(t: float) -> float:
+        total = 0.0
+        for j, a, b in terms:
+            total += a * math.cos(j * t) + b * math.sin(j * t)
+        return total
+
+    return evaluate
+
+
+def _trig_polynomial(terms, label: str) -> PeriodicFunction:
+    """The trigonometric polynomial of the (j, a, b) terms, with its derivative."""
+    terms = tuple((j, float(a), float(b)) for j, a, b in terms)
+    slopes = tuple((j, j * b, -j * a) for j, a, b in terms)
+    return PeriodicFunction(value=_trig_series(terms), derivative=_trig_series(slopes), label=label)
+
+
 def partial_sum(table: FourierTable, order: int) -> PeriodicFunction:
     """Trigonometric polynomial summing the table's harmonics up to `order`."""
     if not 0 <= order <= table.jmax:
         raise RangeError(f"order must lie in 0..{table.jmax}, got {order}")
     kept = [(j, a, b) for j, a, b in table.coefficients if j <= order]
-    js = np.array([j for j, _, _ in kept], dtype=float)
-    a = np.array([a for _, a, _ in kept])
-    b = np.array([b for _, _, b in kept])
-
-    def value(t: float) -> float:
-        return float(np.dot(a, np.cos(js * t)) + np.dot(b, np.sin(js * t)))
-
-    def derivative(t: float) -> float:
-        return float(np.dot(js * b, np.cos(js * t)) - np.dot(js * a, np.sin(js * t)))
-
-    return PeriodicFunction(value=value, derivative=derivative, label=f"partial_sum(J={order})")
+    return _trig_polynomial(kept, label=f"partial_sum(J={order})")
 
 
 def harmonic_mix(coefficients) -> PeriodicFunction:
@@ -213,18 +229,9 @@ def harmonic_mix(coefficients) -> PeriodicFunction:
         raise ValueError("need at least one coefficient")
     if len(flat) % 2 == 1:
         flat.append(0.0)
-    a = np.array(flat[0::2])
-    b = np.array(flat[1::2])
-    js = np.arange(1, a.size + 1, dtype=float)
-
-    def value(t: float) -> float:
-        return float(np.dot(a, np.cos(js * t)) + np.dot(b, np.sin(js * t)))
-
-    def derivative(t: float) -> float:
-        return float(np.dot(js * b, np.cos(js * t)) - np.dot(js * a, np.sin(js * t)))
-
+    terms = zip(range(1, len(flat) // 2 + 1), flat[0::2], flat[1::2])
     label = "harmonics(" + ",".join(f"{c:g}" for c in flat) + ")"
-    return PeriodicFunction(value=value, derivative=derivative, label=label)
+    return _trig_polynomial(terms, label=label)
 
 
 def _cubic_odd() -> PeriodicFunction:

@@ -41,8 +41,8 @@ from .inequality import (
 )
 from .spectral import build_basis, canonical_form, coordinates, verify_action
 
-SWEEP_MAX_N = 4096
-FOURIER_MAX_N = 65536
+# sweep and fourier take O(n log n) time and a few length-n arrays; n = 2^20 runs in seconds
+SAMPLE_MAX_N = 2**20
 ORACLE_MAX_N = 512
 
 DEFAULT_NS = {
@@ -164,6 +164,8 @@ def _make_config(args) -> RunConfig:
     cmd = args.command
     if cmd in ("sweep", "fourier"):
         fn = _resolve_function(args)
+        if max(ns) > SAMPLE_MAX_N:
+            raise ConfigError(f"{cmd} capped at n <= {SAMPLE_MAX_N}")
     if cmd == "fourier":
         if jmax < 1:
             raise ConfigError(f"--jmax must be >= 1, got {jmax}")
@@ -173,10 +175,6 @@ def _make_config(args) -> RunConfig:
             raise ConfigError(
                 f"aliasing guard: need n >= 2*jmax+2 = {2 * jmax + 2}, got n={ns[0]}"
             )
-        if ns[0] > FOURIER_MAX_N:
-            raise ConfigError(f"fourier capped at n <= {FOURIER_MAX_N}")
-    if cmd == "sweep" and max(ns) > SWEEP_MAX_N:
-        raise ConfigError(f"sweep capped at n <= {SWEEP_MAX_N}")
     if cmd in ("verify", "maximize") and max(ns) > ORACLE_MAX_N:
         raise ConfigError(f"{cmd} capped at n <= {ORACLE_MAX_N} (eigensolver range)")
 

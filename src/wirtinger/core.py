@@ -77,6 +77,8 @@ def center_normalize(x) -> np.ndarray:
     """
     v = as_samples(x)
     centered = v - fsum(v) / v.size
+    # rounding leaves the first pass a mean of order ulp(x); a second pass removes it
+    centered -= fsum(centered) / v.size
     norm = math.sqrt(fdot(centered, centered))
     if norm < DEGENERATE_NORM:
         raise DegenerateVector("constant vector has no centered direction")

@@ -6,6 +6,7 @@ first-harmonic family a*cos(2*pi*i/n) + b*sin(2*pi*i/n) with a^2+b^2 = 2/n.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +21,7 @@ CONSTRAINT_TOL = 1e-10
 SLACK_TOL = 1e-12
 # Largest n the dense eigensolver oracle accepts.
 ORACLE_MAX_N = 512
+EPS = sys.float_info.epsilon
 
 
 def _require_size(n: int, minimum: int = 4) -> None:
@@ -137,7 +139,21 @@ def extremal_span_residual(x) -> float:
 class BoundComparison(NamedTuple):
     lhs: float  # cos(2*pi/n)
     rhs: float  # piecewise bound
-    margin: float  # rhs - lhs, computed cancellation-free
+    margin: float  # rhs - lhs, without cancellation
+
+
+def _sin_minus_identity(h: float) -> float:
+    """sin(h) - h = sum over k >= 1 of (-1)^k h^(2k+1)/(2k+1)!, for 0 < h <= pi/4.
+
+    Successive terms shrink by h^2/((2k+2)(2k+3)) <= pi^2/320, so the sum
+    stops once a term falls below eps times the first.
+    """
+    terms = [-h * h * h / 6.0]
+    k = 1
+    while abs(terms[-1]) > EPS * abs(terms[0]):
+        terms.append(-terms[-1] * h * h / ((2 * k + 2) * (2 * k + 3)))
+        k += 1
+    return math.fsum(terms)
 
 
 def bound_comparison(n: int) -> BoundComparison:
@@ -149,12 +165,14 @@ def bound_comparison(n: int) -> BoundComparison:
 
     with a = 2*pi/n and h = a/2, which avoids the catastrophic cancellation
     of the naive difference for large n (the margin decays like a^4/24).
+    sin(h) - h comes from its Taylor series, since the difference of the
+    two loses digits like n^2.
     """
     _require_size(n)
     a = 2.0 * math.pi / n
     h = 0.5 * a
     s = math.sin(h)
-    margin = (12.0 * (s - h) * (s + h) + 2.0 * a * a * s * s) / (6.0 + a * a)
+    margin = (12.0 * _sin_minus_identity(h) * (s + h) + 2.0 * a * a * s * s) / (6.0 + a * a)
     return BoundComparison(lhs=discrete_bound(n), rhs=piecewise_bound(n), margin=margin)
 
 

@@ -71,10 +71,15 @@ def energy_l2(x) -> float:
 
 
 def energy_h1(x) -> float:
-    """Integral of L_X'^2 over one period (the derivative is piecewise constant)."""
+    """Integral of L_X'^2 over one period (the derivative is piecewise constant).
+
+    Summed as (n/2pi) * |X - shift(X)|^2, which equals the module formula
+    without subtracting two nearly equal sums.
+    """
     v = as_samples(x)
     _require_size(v.size)
-    return (v.size / math.pi) * (fdot(v, v) - fdot(v, np.roll(v, 1)))
+    d = v - np.roll(v, 1)
+    return (v.size / TWO_PI) * fdot(d, d)
 
 
 def inner_product(x, y) -> float:

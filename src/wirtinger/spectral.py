@@ -194,14 +194,22 @@ def project(x, basis: CyclicBasis, k: int) -> float:
     return math.fsum(fdot(v, basis.vectors[i]) ** 2 for i in idx)
 
 
-def block_energies(x, basis: CyclicBasis) -> dict[int, float]:
-    """Squared projection norms for every block, keyed by block label k."""
-    y = coordinates(x, basis)
-    out = {}
-    for b in basis.blocks:
-        idx = (b.index,) if isinstance(b, Fixed) else b.indices
-        out[b.k] = math.fsum(y[i] ** 2 for i in idx)
-    return out
+def block_energies(x) -> dict[int, float]:
+    """Squared projection norms for every block, keyed by block label k.
+
+    The shift-adapted basis is the real DFT basis, so one real FFT
+    X = rfft(x) gives every projection without building it: |X_0|^2/n for
+    the constant block, |X_{n/2}|^2/n for the alternating one (n even) and
+    2|X_k|^2/n on each rotation plane 1 <= k < n/2.
+    """
+    v = as_samples(x)
+    n = v.size
+    if n < 4:
+        raise InvalidSize(f"need n >= 4, got {n}")
+    spectrum = np.fft.rfft(v)
+    energies = (spectrum.real**2 + spectrum.imag**2) / n
+    energies[1 : (n + 1) // 2] *= 2.0
+    return dict(enumerate(energies.tolist()))
 
 
 def aligned_harmonics(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:

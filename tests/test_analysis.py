@@ -1,9 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from oracles import fourier_interpolant, trig_polynomial_dot
 
 from wirtinger import (
+    FUNCTION_NAMES,
+    FourierTable,
     InvalidSize,
     NonFinite,
     PeriodicFunction,
@@ -20,6 +24,7 @@ from wirtinger import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = sys.float_info.epsilon
 
 # (1/2pi) * integral of exp(sin t) = I_0(1), evaluated at 40 digits
 BESSEL_I0_1 = 1.2660658777520084
@@ -173,12 +178,29 @@ class TestFourierDiscrete:
         table = fourier_discrete(harmonic_mix([0.0]), 64, 4)
         for j, a, b in table.coefficients:
             assert a == 0.0 and b == 0.0
+            assert math.copysign(1.0, a) == math.copysign(1.0, b) == 1.0  # no "-0" in tables
 
     def test_aliasing_guard(self):
         with pytest.raises(InvalidSize):
             fourier_discrete(named_function("sin1"), 4, 4)
         with pytest.raises(InvalidSize):
             fourier_discrete(named_function("sin1"), 9, 4)  # needs n >= 10
+
+
+@pytest.mark.parametrize("n", [10, 16, 17, 64, 129, 257, 513, 4096, 65536])
+def test_fourier_discrete_matches_interpolant_route(n):
+    """The FFT coefficients equal the paper's interpolant projections to
+    within a few roundings of the largest sample."""
+    jmax = min(8, (n - 2) // 2)
+    functions = [named_function(name) for name in FUNCTION_NAMES]
+    functions.append(harmonic_mix([0.3, -1.2, 0.0, 0.8, -0.45, 0.1, 0.0, 2.0]))
+    for f in functions:
+        x = sample(f, n)
+        budget = 8 * EPS * np.abs(x).max()
+        table = fourier_discrete(f, n, jmax)
+        for (j, a, b), (_, a_ref, b_ref) in zip(table.coefficients, fourier_interpolant(x, jmax)):
+            assert abs(a - a_ref) <= budget, (f.label, j)
+            assert abs(b - b_ref) <= budget, (f.label, j)
 
 
 class TestFourierQuadrature:
@@ -260,6 +282,23 @@ def test_harmonic_mix_roundtrip():
         assert f.value(t) == pytest.approx(expected, rel=1e-14, abs=1e-14)
     with pytest.raises(ValueError):
         harmonic_mix([])
+
+
+def test_trig_polynomial_matches_dot_form():
+    """harmonic_mix and partial_sum agree with the numpy dot-product form to a
+    few roundings per term, for the value and (j-weighted) the derivative."""
+    rng = np.random.default_rng(21)
+    harmonics = 7
+    flat = rng.uniform(-2.0, 2.0, 2 * harmonics).tolist()
+    terms = list(zip(range(1, harmonics + 1), flat[0::2], flat[1::2]))
+    value_ref, derivative_ref = trig_polynomial_dot(terms)
+    value_budget = 4 * harmonics * EPS * math.fsum(abs(a) + abs(b) for _, a, b in terms)
+    slope_budget = 4 * harmonics * EPS * math.fsum(j * (abs(a) + abs(b)) for j, a, b in terms)
+    table = FourierTable(coefficients=tuple(terms), method="quadrature")
+    for f in (harmonic_mix(flat), partial_sum(table, harmonics)):
+        for t in np.linspace(-TWO_PI, 2 * TWO_PI, 301).tolist():
+            assert abs(f.value(t) - value_ref(t)) <= value_budget
+            assert abs(f.derivative(t) - derivative_ref(t)) <= slope_budget
 
 
 def test_fourier_table_coefficient_lookup():

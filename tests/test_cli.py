@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from wirtinger.cli import main, parse_n_spec
+from wirtinger.cli import SAMPLE_MAX_N, ConfigError, _build_parser, _make_config, main, parse_n_spec
 
 SWEEP_HEADER = "n,mean,energy_l2,energy_h1,slack,tail_energy,elapsed_ms"
 FOURIER_HEADER = "j,a_discrete,b_discrete,a_quad,b_quad,abs_err_a,abs_err_b"
@@ -137,6 +137,18 @@ def test_fourier_aliasing_guard(tmp_path):
     assert main(["fourier", "--fn", "sin1", "--n", "4", "--jmax", "4",
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["fourier", "--jmax", "8"]])
+def test_sample_cap(command):
+    """2^20 is accepted and 2^20 + 1 refused, checked on the config alone."""
+    def config(n):
+        return _make_config(_build_parser().parse_args([*command, "--fn", "sin1", "--n", str(n)]))
+
+    assert SAMPLE_MAX_N == 2**20
+    assert config(2**20).ns == (2**20,)
+    with pytest.raises(ConfigError, match="capped"):
+        config(2**20 + 1)
 
 
 def test_maximize_small(capsys):

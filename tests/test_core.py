@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wirtinger import (
@@ -101,6 +101,7 @@ def test_correlation_shift_invariant(x):
 
 
 @given(st.lists(finite_floats, min_size=4, max_size=64).map(np.array))
+@example(np.array([838858.9999999999, 838858.9999999999, 838471.0, 838726.0, 838595.0]))
 @settings(max_examples=150, deadline=None)
 def test_center_normalize_idempotent(x):
     x = x + np.arange(x.size)  # keep the draw away from constant vectors

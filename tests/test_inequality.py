@@ -174,6 +174,19 @@ def test_bound_margin_small_n_matches_mpmath():
             assert abs(bound_comparison(n).margin - exact) <= tol
 
 
+def test_bound_margin_matches_mpmath_at_large_n():
+    """The margin keeps its digits as n grows: within 8 ulps relative of
+    (6 - 2a^2)/(6 + a^2) - cos(a), evaluated with 4*log10(n) + 30 digits so
+    that the reference's own cancellation stays below them."""
+    mpmath = pytest.importorskip("mpmath")
+    for n in [*range(4, 400), 2048, 65536, 10**6, 10**8, 10**12]:
+        with mpmath.workdps(int(4 * math.log10(n)) + 30):
+            a = 2 * mpmath.pi / n
+            exact = (6 - 2 * a**2) / (6 + a**2) - mpmath.cos(a)
+            error = abs(bound_comparison(n).margin - exact) / exact
+        assert error <= 8 * 2.0**-52, (n, float(error))
+
+
 def test_bound_comparison_positive_margin():
     for n in range(4, 2049):
         assert bound_comparison(n).margin > 0.0

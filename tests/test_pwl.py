@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +76,16 @@ def test_energy_l2_constant():
 
 def test_energy_l2_extremal():
     assert energy_l2(EXTREMAL_4) == pytest.approx(math.pi / 3, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+def test_energy_h1_matches_exact_sum(n):
+    """Against (n/2pi) times the exact sum of squared differences of the float
+    samples of sin, where <x,x> - <x,Sx> cancels to a part in n^2."""
+    x = np.sin(TWO_PI * np.arange(1, n + 1) / n)
+    v = [Fraction(e) for e in x.tolist()]
+    exact = float(sum((v[j] - v[j - 1]) ** 2 for j in range(n))) * n / TWO_PI
+    assert abs(energy_h1(x) - exact) <= 4 * sys.float_info.epsilon * exact
 
 
 def test_energy_h1_values():

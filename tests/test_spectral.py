@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,14 +198,15 @@ def test_project_block_out_of_range():
 
 
 def test_block_energies_match_project():
+    """The FFT energies against the dense basis, both parities and sizes up to 1024."""
     rng = np.random.default_rng(8)
-    n = 12
-    b = build_basis(n)
-    x = rng.standard_normal(n)
-    energies = block_energies(x, b)
-    assert set(energies) == set(b.block_ids)
-    for k, e in energies.items():
-        assert e == pytest.approx(project(x, b, k), rel=1e-14, abs=1e-15)
+    for n in [*range(4, 70), 128, 257, 1024]:
+        b = build_basis(n)
+        x = rng.standard_normal(n)
+        energies = block_energies(x)
+        assert set(energies) == set(b.block_ids)
+        for k, e in energies.items():
+            assert e == pytest.approx(project(x, b, k), rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [4, 5, 12])
@@ -238,3 +243,15 @@ def test_aligned_harmonics_live_in_their_block():
             assert project(v, b, k) == pytest.approx(norm_sq, rel=1e-13)
     with pytest.raises(BlockOutOfRange):
         aligned_harmonics(16, 8)
+
+
+def test_import_does_not_load_numpy_fft():
+    """numpy.fft is reached at call time, so importing the package does not pay for it."""
+    code = "import sys, wirtinger, wirtinger.cli; print('numpy.fft' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
