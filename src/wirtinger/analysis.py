@@ -13,16 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import center_normalize, fsum
+from .core import TWO_PI, _require_size, center_normalize, fdot, fsum
 from .errors import InvalidSize, NonFinite, RangeError
-from .inequality import check_inequality
 from .pwl import energy_h1, energy_l2
 from .quadrature import adaptive_simpson
 # build_basis is no longer called here; the binding stays because
 # bench/test_bench.py checks that the tracer rebinds it in this module
 from .spectral import block_energies, build_basis  # noqa: F401
-
-TWO_PI = 2.0 * math.pi
 
 PROBE_POINTS = 17
 PERIODICITY_TOL = 1e-10
@@ -63,8 +60,7 @@ class PeriodicFunction:
 
 def sample(f: PeriodicFunction, n: int) -> np.ndarray:
     """Sample vector x_j = f(2*pi*j/n), j = 1..n."""
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
+    _require_size(n)
     out = np.fromiter((f.value(TWO_PI * j / n) for j in range(1, n + 1)), dtype=float, count=n)
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"function {f.label!r} produced non-finite samples")
@@ -119,7 +115,10 @@ def rayleigh_sweep(f: PeriodicFunction, ns) -> ConvergenceReport:
         centered = x - mean
         e2 = energy_l2(centered)
         h1 = energy_h1(centered)
-        slack = check_inequality(center_normalize(x)).slack
+        u = center_normalize(x)
+        d = u - np.roll(u, 1)
+        # cos(2pi/n) - <u,Su>/<u,u> without subtracting two numbers near 1
+        slack = fdot(d, d) / (2.0 * fdot(u, u)) - 2.0 * math.sin(math.pi / n) ** 2
         tail = _tail_of_samples(x) if n >= 5 else 0.0
         elapsed = (time.perf_counter() - start) * 1e3
         rows.append(

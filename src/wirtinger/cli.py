@@ -32,6 +32,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .inequality import (
+    ORACLE_MAX_N,
     bound_comparison,
     check_inequality,
     discrete_bound,
@@ -43,7 +44,6 @@ from .spectral import build_basis, canonical_form, coordinates, verify_action
 
 # sweep and fourier take O(n log n) time and a few length-n arrays; n = 2^20 runs in seconds
 SAMPLE_MAX_N = 2**20
-ORACLE_MAX_N = 512
 
 DEFAULT_NS = {
     "verify": "4..64",
@@ -74,7 +74,7 @@ class RunConfig:
     fn: PeriodicFunction | None
     jmax: int
     tol: float | None
-    seed: int
+    seed: int | None
     out: str | None
     fmt: str
 
@@ -114,10 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", default=DEFAULT_NS[name], metavar="SPEC",
                        help=f"int, range 'a..b', or comma list (default {DEFAULT_NS[name]})")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override for pass/fail checks")
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed for randomized suites (default 42)")
+        if name in ("verify", "fourier"):
+            p.add_argument("--tol", type=float, default=None,
+                           help="tolerance override for pass/fail checks")
+        if name == "verify":
+            p.add_argument("--seed", type=int, default=42,
+                           help="seed for the random test vectors (default 42)")
         p.add_argument("--out", default=None, help="output file (atomic write)")
         p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
         if name in ("sweep", "fourier"):
@@ -132,9 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_function(args) -> PeriodicFunction:
-    if getattr(args, "fn", None) and getattr(args, "harmonics", None):
+    if args.fn and args.harmonics:
         raise ConfigError("pass either --fn or --harmonics, not both")
-    if getattr(args, "harmonics", None):
+    if args.harmonics:
         try:
             coeffs = [float(p) for p in args.harmonics.split(",") if p.strip()]
         except ValueError:
@@ -142,7 +144,7 @@ def _resolve_function(args) -> PeriodicFunction:
         if not coeffs:
             raise ConfigError("--harmonics needs at least one coefficient")
         return harmonic_mix(coeffs)
-    if getattr(args, "fn", None):
+    if args.fn:
         try:
             return named_function(args.fn)
         except KeyError as exc:
@@ -156,8 +158,9 @@ def _make_config(args) -> RunConfig:
         raise ConfigError("--n parsed to an empty set")
     if min(ns) < 4:
         raise ConfigError(f"n must be >= 4, got {min(ns)}")
-    if args.tol is not None and args.tol <= 0:
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and tol <= 0:
+        raise ConfigError(f"--tol must be positive, got {tol}")
 
     fn = None
     jmax = getattr(args, "jmax", 1)
@@ -183,18 +186,16 @@ def _make_config(args) -> RunConfig:
         ns=tuple(sorted(set(ns))),
         fn=fn,
         jmax=jmax,
-        tol=args.tol,
-        seed=args.seed,
+        tol=tol,
+        seed=getattr(args, "seed", None),
         out=args.out,
         fmt=args.fmt,
     )
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
     if isinstance(v, str):
         return v
     return f"{float(v):.17g}"
@@ -207,7 +208,7 @@ def _render(rows: list, header: list, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     out = []
     for row in rows:
-        obj = {h: (row[h] if isinstance(row[h], (int, str, bool)) else float(row[h]))
+        obj = {h: (row[h] if isinstance(row[h], (int, str)) else float(row[h]))
                for h in header}
         out.append(json.dumps(obj))
     return "\n".join(out) + ("\n" if out else "")

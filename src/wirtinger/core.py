@@ -10,10 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector, NonFinite
+from .errors import DegenerateVector, InvalidSize, NonFinite
+
+TWO_PI = 2.0 * math.pi
 
 # Centered vectors below this Euclidean norm are treated as zero.
 DEGENERATE_NORM = 1e-300
+
+
+def _require_size(n: int) -> None:
+    if n < 4:
+        raise InvalidSize(f"need n >= 4, got {n}")
 
 
 def as_samples(x) -> np.ndarray:

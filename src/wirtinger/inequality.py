@@ -12,8 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_samples, cyclic_correlation, fdot, fsum, shift_matrix
+from .core import TWO_PI, _require_size, as_samples, cyclic_correlation, fdot, fsum, shift_matrix
 from .errors import ConstraintViolation, ConvergenceFailure, InvalidSize
+from .spectral import aligned_harmonics
 
 # Input gate on |mean| and |norm^2 - 1|: separates user error from roundoff.
 CONSTRAINT_TOL = 1e-10
@@ -24,15 +25,10 @@ ORACLE_MAX_N = 512
 EPS = sys.float_info.epsilon
 
 
-def _require_size(n: int, minimum: int = 4) -> None:
-    if n < minimum:
-        raise InvalidSize(f"need n >= {minimum}, got {n}")
-
-
 def discrete_bound(n: int) -> float:
     """Sharp upper bound cos(2*pi/n) for the cyclic correlation."""
     _require_size(n)
-    return math.cos(2.0 * math.pi / n)
+    return math.cos(TWO_PI / n)
 
 
 def piecewise_bound(n: int) -> float:
@@ -56,9 +52,8 @@ def extremal_vector(n: int, a: float, b: float) -> np.ndarray:
         raise ConstraintViolation(
             f"a^2+b^2 must equal 2/n = {2.0 / n:.6g}, got {a * a + b * b:.17g}"
         )
-    i = np.arange(1, n + 1)
-    angles = (2.0 * math.pi / n) * (i % n)
-    return a * np.cos(angles) + b * np.sin(angles)
+    c, s = aligned_harmonics(n, 1)
+    return a * c + b * s
 
 
 @dataclass(frozen=True)
@@ -101,20 +96,19 @@ def oracle_max(n: int) -> OracleResult:
     """Maximum of the correlation form on the mean-zero unit sphere, by eigensolver.
 
     Builds the symmetrized shift matrix S = (A + A^T)/2, deflates the
-    all-ones direction by projection plus a spectral shift, and returns the
-    top eigenpair of the deflated matrix.  Entirely independent of the
-    closed-form basis, so agreement with discrete_bound is a genuine
-    cross-check.  The top eigenspace is a two-dimensional plane; the
-    returned vector is one unit vector in it.
+    all-ones direction by a spectral shift, and returns the top eigenpair of
+    the deflated matrix.  Entirely independent of the closed-form basis, so
+    agreement with discrete_bound is a genuine cross-check.  The top
+    eigenspace is a two-dimensional plane; the returned vector is one unit
+    vector in it.
     """
     _require_size(n)
     if n > ORACLE_MAX_N:
         raise InvalidSize(f"dense oracle limited to n <= {ORACLE_MAX_N}, got {n}")
     a = shift_matrix(n)
-    s = 0.5 * (a + a.T)
-    p = np.eye(n) - np.full((n, n), 1.0 / n)
-    # push the constant direction to eigenvalue -2, below the spectrum of S
-    deflated = p @ s @ p - 2.0 * np.full((n, n), 1.0 / n)
+    # S fixes the all-ones vector, so subtracting 3/n from every entry moves
+    # that direction from eigenvalue 1 to -2, below the rest of the spectrum
+    deflated = 0.5 * (a + a.T) - 3.0 / n
     values, vectors = np.linalg.eigh(deflated)
     value, vec = float(values[-1]), vectors[:, -1]
     residual = float(np.linalg.norm(deflated @ vec - value * vec))
@@ -126,12 +120,10 @@ def oracle_max(n: int) -> OracleResult:
 def extremal_span_residual(x) -> float:
     """Distance from a unit vector to the span of the sampled first harmonics."""
     v = as_samples(x)
-    n = v.size
-    i = np.arange(1, n + 1)
-    angles = (2.0 * math.pi / n) * (i % n)
-    scale = math.sqrt(2.0 / n)
-    u_cos = scale * np.cos(angles)
-    u_sin = scale * np.sin(angles)
+    c, s = aligned_harmonics(v.size, 1)
+    scale = math.sqrt(2.0 / v.size)
+    u_cos = scale * c
+    u_sin = scale * s
     rest = v - fdot(v, u_cos) * u_cos - fdot(v, u_sin) * u_sin
     return float(np.linalg.norm(rest))
 
@@ -169,7 +161,7 @@ def bound_comparison(n: int) -> BoundComparison:
     two loses digits like n^2.
     """
     _require_size(n)
-    a = 2.0 * math.pi / n
+    a = TWO_PI / n
     h = 0.5 * a
     s = math.sin(h)
     margin = (12.0 * _sin_minus_identity(h) * (s + h) + 2.0 * a * a * s * s) / (6.0 + a * a)

@@ -14,21 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_samples, fdot
-from .errors import BlockOutOfRange, DimensionMismatch, InvalidSize
-
-TWO_PI = 2.0 * math.pi
+from .core import TWO_PI, _require_size, as_samples, fdot
+from .errors import BlockOutOfRange, DimensionMismatch
 
 # Evaluation points a few ulps (in knot-index units) from a knot are snapped
 # onto it, so querying a knot abscissa returns the stored value exactly.  The
 # window must stay tiny: a wide one puts a visible step at its edge, which
 # stalls bisection-based quadrature of the interpolant.
 KNOT_SNAP_ULPS = 32.0 * np.finfo(float).eps
-
-
-def _require_size(n: int) -> None:
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
 
 
 @dataclass(frozen=True)

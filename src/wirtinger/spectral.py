@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_samples, fdot
-from .errors import BlockOutOfRange, DimensionMismatch, InvalidSize
-
-TWO_PI = 2.0 * math.pi
+from .core import TWO_PI, _require_size, as_samples, fdot
+from .errors import BlockOutOfRange, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -67,21 +65,15 @@ class CyclicBasis:
         return sorted(b.k for b in self.blocks)
 
 
-def rotation_block_count(n: int) -> int:
-    """Number of two-dimensional rotation planes for a given n."""
-    return (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-
-
 def block_layout(n: int) -> tuple:
     """Block descriptors for dimension n, without building the vectors."""
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
+    _require_size(n)
     blocks = [Fixed(index=0, eigenvalue=1.0, k=0)]
     first = 1
     if n % 2 == 0:
         blocks.append(Fixed(index=1, eigenvalue=-1.0, k=n // 2))
         first = 2
-    for k in range(1, rotation_block_count(n) + 1):
+    for k in range(1, (n - 1) // 2 + 1):
         i = first + 2 * (k - 1)
         blocks.append(Rotation(indices=(i, i + 1), angle=TWO_PI * k / n, k=k))
     return tuple(blocks)
@@ -115,38 +107,29 @@ class ActionResidual:
 
     k: int
     residual: float
-    orientation: int  # +1: rotation by +angle, -1: by -angle, 0: fixed block
 
 
 def action_residuals(basis: CyclicBasis) -> list[ActionResidual]:
     """Residuals of the block action of the shift on each basis block.
 
-    Rotation blocks accept either orientation (rotation by +angle or -angle);
-    the better one is recorded per block.
+    On a rotation block the predicted image is the rotation by +angle:
+    shift(e_cos) = cos*e_cos + sin*e_sin, shift(e_sin) = -sin*e_cos + cos*e_sin.
     """
     out = []
     v = basis.vectors
     for b in basis.blocks:
         if isinstance(b, Fixed):
             e = v[b.index]
-            r = float(np.linalg.norm(np.roll(e, 1) - b.eigenvalue * e))
-            out.append(ActionResidual(k=b.k, residual=r, orientation=0))
+            r = np.linalg.norm(np.roll(e, 1) - b.eigenvalue * e)
         else:
             ec, es = v[b.indices[0]], v[b.indices[1]]
             c, s = math.cos(b.angle), math.sin(b.angle)
             tc, ts = np.roll(ec, 1), np.roll(es, 1)
-            plus = max(
+            r = max(
                 np.linalg.norm(tc - (c * ec + s * es)),
                 np.linalg.norm(ts - (-s * ec + c * es)),
             )
-            minus = max(
-                np.linalg.norm(tc - (c * ec - s * es)),
-                np.linalg.norm(ts - (s * ec + c * es)),
-            )
-            if plus <= minus:
-                out.append(ActionResidual(k=b.k, residual=float(plus), orientation=+1))
-            else:
-                out.append(ActionResidual(k=b.k, residual=float(minus), orientation=-1))
+        out.append(ActionResidual(k=b.k, residual=float(r)))
     return out
 
 
@@ -204,8 +187,7 @@ def block_energies(x) -> dict[int, float]:
     """
     v = as_samples(x)
     n = v.size
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
+    _require_size(n)
     spectrum = np.fft.rfft(v)
     energies = (spectrum.real**2 + spectrum.imag**2) / n
     energies[1 : (n + 1) // 2] *= 2.0

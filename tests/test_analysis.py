@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from oracles import fourier_interpolant, trig_polynomial_dot
 
 from wirtinger import (
     FUNCTION_NAMES,
+    DegenerateVector,
     FourierTable,
     InvalidSize,
     NonFinite,
     PeriodicFunction,
     RangeError,
     adaptive_simpson,
+    center_normalize,
     fourier_discrete,
     fourier_quadrature,
     harmonic_mix,
@@ -147,6 +150,27 @@ def test_sweep_slack_positivity_across_registry():
         report = rayleigh_sweep(named_function(name), [4, 9, 32, 33])
         assert all(r.slack >= -1e-12 for r in report.rows)
         assert report.rows[0].tail_energy == 0.0  # no k >= 2 blocks at n=4
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+def test_sweep_slack_matches_exact_quotient(n):
+    """The slack is cos(2*pi/n) - <u,Su>/<u,u> for the normalized samples u,
+    within 4 ulps relative of an exact Fraction quotient and a 50-digit cos."""
+    mpmath = pytest.importorskip("mpmath")
+    f = harmonic_mix([0.3, -1.2, 0.0, 0.8])
+    u = [Fraction(v) for v in center_normalize(sample(f, n)).tolist()]
+    quotient = sum(a * b for a, b in zip(u, u[-1:] + u[:-1])) / sum(a * a for a in u)
+    with mpmath.workdps(50):
+        correlation = mpmath.mpf(quotient.numerator) / quotient.denominator
+        exact = mpmath.cos(2 * mpmath.pi / n) - correlation
+        error = abs(rayleigh_sweep(f, [n]).rows[0].slack - exact) / exact
+    assert error <= 4 * EPS, float(error / EPS)
+
+
+def test_sweep_rejects_constant_function():
+    flat = PeriodicFunction(value=lambda t: 1.5, derivative=lambda t: 0.0, label="flat")
+    with pytest.raises(DegenerateVector):
+        rayleigh_sweep(flat, [8])
 
 
 class TestFourierDiscrete:

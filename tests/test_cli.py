@@ -174,3 +174,12 @@ def test_usage_errors_exit_2():
     assert main(["sweep", "--fn", "sin1", "--harmonics", "1,0", "--n", "8"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["verify", "--n", "4..8", "--tol", "-1"]) == 2
+    # --tol is read only by verify and fourier, --seed only by verify
+    assert main(["bounds", "--tol", "1e-3"]) == 2
+    assert main(["sweep", "--fn", "sin1", "--seed", "1"]) == 2
+    assert main(["maximize", "--tol", "1e-3"]) == 2
+    assert main(["fourier", "--fn", "sin1", "--seed", "1"]) == 2
+
+
+def test_fourier_honours_tol():
+    assert main(["fourier", "--fn", "sin1", "--n", "257", "--tol", "1e-300"]) == 1

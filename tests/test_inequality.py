@@ -138,6 +138,16 @@ def test_oracle_max_argmax_is_extremal():
         assert harmonic_span_residual(argmax) <= 1e-8
 
 
+def test_oracle_max_matches_mpmath_cos():
+    """The eigensolver maximum is within 16 eps of a 40-digit cos(2*pi/n)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in range(4, 129):
+            exact = mpmath.cos(2 * mpmath.pi / n)
+            error = abs(oracle_max(n).value - exact)
+            assert error <= 16 * 2.0**-52, (n, float(error / 2.0**-52))
+
+
 def test_oracle_max_size_limits():
     with pytest.raises(InvalidSize):
         oracle_max(3)

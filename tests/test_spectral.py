@@ -93,13 +93,13 @@ def test_action_residual(n):
     assert verify_action(build_basis(n)) <= ACTION_TOL
 
 
-def test_action_orientation_recorded():
-    residuals = action_residuals(build_basis(12))
-    by_k = {r.k: r for r in residuals}
-    assert by_k[0].orientation == 0  # fixed blocks carry no rotation sense
-    assert by_k[6].orientation == 0
-    assert all(by_k[k].orientation in (+1, -1) for k in range(1, 6))
-    assert max(r.residual for r in residuals) <= ACTION_TOL
+@pytest.mark.parametrize("n", [4, 5, 12, 128])
+def test_action_rotates_by_plus_angle(n):
+    """Every block, rotation planes included, matches the shift's image with
+    the plane rotated by +2*pi*k/n; the opposite sense would miss by 2 sin."""
+    residuals = {r.k: r.residual for r in action_residuals(build_basis(n))}
+    assert sorted(residuals) == list(range(n // 2 + 1))
+    assert all(r <= ACTION_TOL for r in residuals.values())
 
 
 def test_coordinates_of_basis_vector():
