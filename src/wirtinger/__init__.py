@@ -53,9 +53,11 @@ from .inequality import (
     discrete_bound,
     extremal_span_residual,
     extremal_vector,
+    max_violation,
     oracle_max,
     piecewise_bound,
     random_unit_zero_mean,
+    random_unit_zero_mean_rows,
 )
 from .pwl import PiecewiseLinear, basis_norm, energy_h1, energy_l2, inner_product
 from .quadrature import adaptive_simpson
@@ -121,12 +123,14 @@ __all__ = [
     "fourier_quadrature",
     "harmonic_mix",
     "inner_product",
+    "max_violation",
     "named_function",
     "oracle_max",
     "partial_sum",
     "piecewise_bound",
     "project",
     "random_unit_zero_mean",
+    "random_unit_zero_mean_rows",
     "rayleigh_sweep",
     "sample",
     "shift",

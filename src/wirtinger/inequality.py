@@ -168,11 +168,53 @@ def bound_comparison(n: int) -> BoundComparison:
     return BoundComparison(lhs=discrete_bound(n), rhs=piecewise_bound(n), margin=margin)
 
 
+def random_unit_zero_mean_rows(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m uniform-direction random vectors on the mean-zero unit sphere, as an (m, n) array.
+
+    One standard_normal((m, n)) draw gives the same numbers as m draws of
+    length n, and each row is centered and scaled by its own compensated sums.
+    A row whose centered norm is <= 1e-8 is dropped and the shortfall drawn
+    again, which consumes the stream as a per-vector retry would.
+    """
+    xs = rng.standard_normal((m, n))
+    xs -= np.array([math.fsum(v.tolist()) for v in xs])[:, None] / n
+    norms = np.sqrt([math.fsum(v.tolist()) for v in np.square(xs)])
+    keep = norms > 1e-8
+    if keep.all():
+        xs /= norms[:, None]
+        return xs
+    kept = xs[keep] / norms[keep, None]
+    return np.concatenate([kept, random_unit_zero_mean_rows(n, m - len(kept), rng)])
+
+
 def random_unit_zero_mean(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform-direction random vector on the mean-zero unit sphere."""
-    while True:
-        v = rng.standard_normal(n)
-        v -= fsum(v) / n
-        norm = math.sqrt(fdot(v, v))
-        if norm > 1e-8:
-            return v / norm
+    return random_unit_zero_mean_rows(n, 1, rng)[0]
+
+
+def max_violation(xs) -> float:
+    """max(0, -slack) over the rows of an (m, n) array, each checked as by check_inequality.
+
+    A numpy sum of n products errs by at most gamma_n * sum|terms| (Higham, ch. 3),
+    and a unit row has sum|x_j x_{j-1}| <= |x|^2 and sum|x_j| <= sqrt(n)|x|.  Rows whose
+    margins clear 2*n*eps (>= 4 gamma_n, room for the roundings of the margins themselves)
+    times those bounds are decided; check_inequality redoes the rest.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.size == 0:
+        raise ValueError("need a non-empty (m, n) array of sample vectors")
+    n = xs.shape[1]
+    _require_size(n)
+    gamma = 2 * n * EPS
+    norm_sq = np.einsum("ij,ij->i", xs, xs)
+    slack = discrete_bound(n) - np.einsum("ij,ij->i", xs, np.roll(xs, 1, axis=1))
+    # written as "margin clears the bound" so that NaN and inf rows are undecided
+    decided = (
+        (np.abs(norm_sq - 1.0) + gamma * norm_sq <= CONSTRAINT_TOL)
+        & (np.abs(xs.sum(axis=1)) + gamma * np.sqrt(n * norm_sq) <= n * CONSTRAINT_TOL)
+        & (slack > gamma * norm_sq)
+    )
+    worst = 0.0
+    for i in np.flatnonzero(~decided):
+        worst = max(worst, -check_inequality(xs[i]).slack)
+    return worst

@@ -5,14 +5,28 @@ geometry, least squares) rather than the library's closed forms, so
 agreement is a genuine cross-check and not a tautology.  The exceptions are
 the routes the library computed by before it took a faster one (interpolant
 inner products for Fourier coefficients, numpy dot products for trig
-polynomials): they are kept here as the reference the fast route must match.
+polynomials, one vector at a time for `verify`): they are kept here as the
+reference the fast route must match.
 """
 
 import math
 
 import numpy as np
 
-from wirtinger import aligned_harmonics, basis_norm, inner_product
+from wirtinger import (
+    aligned_harmonics,
+    basis_norm,
+    build_basis,
+    canonical_form,
+    check_inequality,
+    coordinates,
+    cyclic_correlation,
+    discrete_bound,
+    inner_product,
+    oracle_max,
+    verify_action,
+)
+from wirtinger.core import fdot, fsum
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,3 +113,43 @@ def trig_polynomial_dot(terms):
         return float(np.dot(js * b, np.cos(js * t)) - np.dot(js * a, np.sin(js * t)))
 
     return value, derivative
+
+
+def random_unit_zero_mean_per_vector(n: int, rng) -> np.ndarray:
+    """One standard_normal(n) draw per attempt, centered and scaled with
+    compensated sums; retried while the centered norm is <= 1e-8."""
+    while True:
+        v = rng.standard_normal(n)
+        v -= fsum(v) / n
+        norm = math.sqrt(fdot(v, v))
+        if norm > 1e-8:
+            return v / norm
+
+
+def verify_residuals_per_vector(ns, seed: int) -> dict:
+    """`verify`'s five residuals, computed one vector at a time: per n, 5
+    random vectors for the canonical form, then 200 through check_inequality."""
+    rng = np.random.default_rng(seed)
+    residuals = dict.fromkeys(("gram", "action", "canonical", "slack", "oracle"), 0.0)
+    for n in ns:
+        basis = build_basis(n)
+        gram = np.abs(basis.vectors @ basis.vectors.T - np.eye(n)).max()
+        residuals["gram"] = max(residuals["gram"], float(gram))
+        residuals["action"] = max(residuals["action"], verify_action(basis))
+
+        for _ in range(5):
+            x = random_unit_zero_mean_per_vector(n, rng)
+            corr = cyclic_correlation(x)
+            form = canonical_form(coordinates(x, basis), n)
+            rel = abs(form - corr) / max(abs(corr), 1e-3)
+            residuals["canonical"] = max(residuals["canonical"], rel)
+
+        worst_violation = 0.0
+        for _ in range(200):
+            report = check_inequality(random_unit_zero_mean_per_vector(n, rng))
+            worst_violation = max(worst_violation, -min(report.slack, 0.0))
+        residuals["slack"] = max(residuals["slack"], worst_violation)
+
+        value, _ = oracle_max(n)
+        residuals["oracle"] = max(residuals["oracle"], abs(value - discrete_bound(n)))
+    return residuals

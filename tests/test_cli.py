@@ -3,8 +3,17 @@ import math
 import os
 
 import pytest
+from oracles import verify_residuals_per_vector
 
-from wirtinger.cli import SAMPLE_MAX_N, ConfigError, _build_parser, _make_config, main, parse_n_spec
+from wirtinger.cli import (
+    SAMPLE_MAX_N,
+    VERIFY_THRESHOLDS,
+    ConfigError,
+    _build_parser,
+    _make_config,
+    main,
+    parse_n_spec,
+)
 
 SWEEP_HEADER = "n,mean,energy_l2,energy_h1,slack,tail_energy,elapsed_ms"
 FOURIER_HEADER = "j,a_discrete,b_discrete,a_quad,b_quad,abs_err_a,abs_err_b"
@@ -23,6 +32,25 @@ def test_verify_passes_small_range(capsys):
     for check in ("gram", "action", "canonical", "slack", "oracle"):
         assert check in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 25, 42, 58])
+def test_verify_matches_per_vector_reference(seed, tmp_path, capsys):
+    """The batched verify prints the bytes of the one-vector-at-a-time loop."""
+    out = tmp_path / "verify.jsonl"
+    rc = main(["verify", "--n", "4..48", "--seed", str(seed), "--format", "jsonl",
+               "--out", str(out)])
+    residuals = verify_residuals_per_vector(range(4, 49), seed)
+    lines, printed = [], []
+    for name, value in residuals.items():
+        limit = VERIFY_THRESHOLDS[name]
+        status = "pass" if value <= limit else "FAIL"
+        lines.append(json.dumps({"check": name, "max_residual": value,
+                                 "threshold": limit, "status": status}) + "\n")
+        printed.append(f"{name:<10} max_residual={value:.3e} threshold={limit:.1e} {status}\n")
+    assert out.read_bytes() == "".join(lines).encode()
+    assert capsys.readouterr().out == "".join(printed)
+    assert rc == 0
 
 
 def test_verify_rejects_small_n():

@@ -2,23 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from oracles import harmonic_span_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import harmonic_span_residual, random_unit_zero_mean_per_vector
 
 from wirtinger import (
     ConstraintViolation,
     InvalidSize,
+    NonFinite,
     bound_comparison,
+    center_normalize,
     check_inequality,
     cyclic_correlation,
     discrete_bound,
     extremal_span_residual,
     extremal_vector,
+    max_violation,
     oracle_max,
     piecewise_bound,
     random_unit_zero_mean,
+    random_unit_zero_mean_rows,
 )
 
 SLACK_TOL = 1e-12
+TWO_PI = 2.0 * math.pi
 
 # closed forms evaluated at 50 decimal digits, rounded to double
 PW_BOUND_4 = 0.12579985131695962
@@ -118,6 +125,134 @@ def test_random_unit_zero_mean_constraints():
         x = random_unit_zero_mean(n, rng)
         assert abs(float(np.sum(x))) <= 1e-12
         assert float(x @ x) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 5, 200])
+@pytest.mark.parametrize("n", [4, 5, 17, 160, 512])
+def test_rows_match_sequential_draws(n, m):
+    """One (m, n) draw gives the per-vector vectors bit for bit and leaves the
+    stream where m per-vector draws leave it."""
+    rng_rows, rng_seq = np.random.default_rng(n * m), np.random.default_rng(n * m)
+    rows = random_unit_zero_mean_rows(n, m, rng_rows)
+    seq = np.array([random_unit_zero_mean_per_vector(n, rng_seq) for _ in range(m)])
+    assert rows.shape == (m, n)
+    assert rows.tobytes() == seq.tobytes()
+    assert rng_rows.standard_normal(3).tobytes() == rng_seq.standard_normal(3).tobytes()
+    assert random_unit_zero_mean(n, rng_rows).tobytes() == random_unit_zero_mean_per_vector(
+        n, rng_seq).tobytes()
+
+
+class RowQueue:
+    """Stands in for a Generator: standard_normal serves queued rows in order."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.served = 0
+
+    def standard_normal(self, size):
+        count = size[0] if isinstance(size, tuple) else None
+        take = self.rows[self.served:self.served + (count or 1)]
+        self.served += len(take)
+        return np.array(take) if count is not None else np.array(take[0])
+
+
+def test_rows_redraw_degenerate_row():
+    """A constant row centers to zero norm: it is dropped and the shortfall drawn
+    again, giving the vectors and stream position of the per-vector retry."""
+    n = 6
+    queued = np.random.default_rng(3).standard_normal((8, n))
+    queued[2] = 3.0
+    rows_rng, seq_rng = RowQueue(queued), RowQueue(queued)
+    rows = random_unit_zero_mean_rows(n, 5, rows_rng)
+    seq = np.array([random_unit_zero_mean_per_vector(n, seq_rng) for _ in range(5)])
+    assert rows.tobytes() == seq.tobytes()
+    assert rows_rng.served == seq_rng.served == 6
+
+
+def _max_violation_per_row(xs) -> float:
+    worst = 0.0
+    for x in xs:
+        worst = max(worst, -min(check_inequality(x).slack, 0.0))
+    return worst
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a.hex() == b.hex()  # also tells 0.0 from -0.0
+
+
+def test_max_violation_matches_per_row_on_random_rows():
+    rng = np.random.default_rng(11)
+    for n in (4, 5, 17, 64, 160, 512):
+        xs = random_unit_zero_mean_rows(n, 200, rng)
+        got = max_violation(xs)
+        assert _same_float(got, _max_violation_per_row(xs))
+        assert got == 0.0
+
+
+def test_max_violation_matches_per_row_on_extremal_rows():
+    """Extremal rows sit on the bound, where no row is decided from the numpy
+    sums: every slack comes from the compensated fallback, with both signs.
+    Each row is also checked alone, since a block's maximum hides a row whose
+    numpy sum has the wrong sign (14 of these 1525 rows, with no rounding bound)."""
+    slacks = []
+    for n in range(4, 65):
+        r = math.sqrt(2.0 / n)
+        xs = np.array([extremal_vector(n, r * math.cos(t), r * math.sin(t))
+                       for t in np.linspace(0.0, TWO_PI, 25)])
+        slacks.extend(check_inequality(x).slack for x in xs)
+        assert _same_float(max_violation(xs), _max_violation_per_row(xs)), n
+        for x in xs:
+            assert _same_float(max_violation(x[None, :]), _max_violation_per_row([x])), n
+    assert min(slacks) < 0.0 < max(slacks)
+
+
+@st.composite
+def near_extremal_rows(draw):
+    """(m, n) rows: center_normalize of cos(t + phase) + eps*noise, or of pure noise."""
+    n = draw(st.integers(4, 96))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = TWO_PI * np.arange(1, n + 1) / n
+    rows = []
+    for _ in range(m):
+        eps = draw(st.sampled_from([0.0, 1e-17, 1e-15, 1e-12, 1e-8, 1.0]))
+        noise = rng.standard_normal(n)
+        rows.append(center_normalize(np.cos(t + rng.uniform(0, TWO_PI)) + eps * noise)
+                    if eps < 1.0 else center_normalize(noise))
+    return np.array(rows)
+
+
+@given(near_extremal_rows())
+@settings(max_examples=200, deadline=None)
+def test_max_violation_matches_per_row_property(xs):
+    assert _same_float(max_violation(xs), _max_violation_per_row(xs))
+    for x in xs:
+        assert _same_float(max_violation(x[None, :]), _max_violation_per_row([x]))
+
+
+def test_max_violation_raises_as_check_inequality():
+    rng = np.random.default_rng(5)
+    xs = random_unit_zero_mean_rows(8, 4, rng)
+    scaled = xs.copy()
+    scaled[2] *= 1.0 + 1e-9
+    with pytest.raises(ConstraintViolation) as batched:
+        max_violation(scaled)
+    with pytest.raises(ConstraintViolation) as single:
+        check_inequality(scaled[2])
+    assert str(batched.value) == str(single.value)
+    shifted = xs.copy()
+    shifted[1] += 1e-9
+    with pytest.raises(ConstraintViolation, match="mean="):
+        max_violation(shifted)
+    for bad in (np.nan, np.inf):
+        broken = xs.copy()
+        broken[3, 5] = bad
+        with pytest.raises(NonFinite):
+            max_violation(broken)
+    with pytest.raises(InvalidSize):
+        max_violation(random_unit_zero_mean_rows(4, 2, rng)[:, :3])
+    with pytest.raises(ValueError):
+        max_violation(xs[0])
 
 
 def test_oracle_max_values():
