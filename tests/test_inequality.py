@@ -192,8 +192,9 @@ def test_max_violation_matches_per_row_on_random_rows():
 def test_max_violation_matches_per_row_on_extremal_rows():
     """Extremal rows sit on the bound, where no row is decided from the numpy
     sums: every slack comes from the compensated fallback, with both signs.
-    Each row is also checked alone, since a block's maximum hides a row whose
-    numpy sum has the wrong sign (14 of these 1525 rows, with no rounding bound)."""
+    Each row is also checked alone: without the rounding bound, 14 of these
+    1525 rows are decided from a numpy sum of the wrong sign, and a block's
+    maximum can hide that."""
     slacks = []
     for n in range(4, 65):
         r = math.sqrt(2.0 / n)
