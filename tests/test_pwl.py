@@ -1,10 +1,12 @@
 import math
+import struct
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import segment_h1, segment_l2, segment_simpson_product
 
@@ -62,6 +64,93 @@ def test_eval_vectorized_matches_scalar():
     assert batch.shape == ts.shape
     for t, v in zip(ts, batch):
         assert L(float(t)) == v
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def _step_ulps(t: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        t = math.nextafter(t, math.copysign(math.inf, steps))
+    return t
+
+
+@st.composite
+def _knots_and_point(draw):
+    """Knot values (zeros of both signs among them) and a point that is
+    anywhere, or within a few ulps of a knot abscissa of some period."""
+    n = draw(st.integers(4, 70))
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+    knots = draw(st.lists(value, min_size=n, max_size=n))
+    anywhere = st.floats(allow_nan=False, allow_infinity=False)
+    near_knot = st.builds(
+        lambda j, steps: _step_ulps(TWO_PI * j / n, steps),
+        st.integers(-3 * n, 3 * n), st.integers(-3, 3))
+    return knots, draw(st.one_of(anywhere, near_knot))
+
+
+SPECIAL_POINTS = (0.0, -0.0, -1e-300, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308)
+
+
+@given(_knots_and_point())
+@example(([0.3, -0.0, 0.0, -1.2], 0.0))
+@example(([0.3, -0.0, 0.0, -1.2], -0.0))
+@example(([-0.0, 0.5, -2.0, 0.0, -0.0], math.pi * 2 / 5 * 3))
+@example(([-0.0, 0.5, -2.0, 0.0, -0.0], math.nextafter(TWO_PI, 0.0)))
+@example(([1.0, -3.0, 2.0, 0.25], -1e-300))
+@example(([1.0, -3.0, 2.0, 0.25], 1e300))
+@example(([1.0, -3.0, 2.0, 0.25], 5e-324))
+@example(([1.0, -3.0, 2.0, 0.25], -5e-324))
+@example(([1.0, -3.0, 2.0, 0.25, 7.0, -1.5, 0.0], math.nextafter(TWO_PI * 3 / 7, 0.0)))
+@example(([1.0, -3.0, 2.0, 0.25, 7.0, -1.5, 0.0], math.nextafter(TWO_PI * 3 / 7, 9.0)))
+@settings(max_examples=300, deadline=None)
+def test_scalar_path_matches_array_path_bits(case):
+    """A Python float takes the plain-Python path; the same value in an array
+    takes the numpy path.  Both must give the same bits, zero signs included."""
+    knots, t = case
+    L = PiecewiseLinear(np.array(knots))
+    v = L(t)
+    assert type(v) is float
+    assert _bits(v) == _bits(float(L(np.array([t]))[0]))
+
+
+@pytest.mark.parametrize("n", range(4, 71))
+def test_scalar_path_matches_array_path_at_every_knot(n):
+    """Every knot abscissa over three periods, its neighbours up to 3 ulps
+    away, the special points and random points, for knots with -0.0 in them."""
+    rng = np.random.default_rng(1000 + n)
+    knots = rng.standard_normal(n)
+    knots[rng.random(n) < 0.25] = -0.0
+    L = PiecewiseLinear(knots)
+    ts = [_step_ulps(TWO_PI * j / n, s) for j in range(-n, 2 * n + 1) for s in range(-3, 4)]
+    ts += list(SPECIAL_POINTS) + rng.uniform(-20.0, 20.0, 200).tolist()
+    batch = L(np.array(ts))
+    for t, a in zip(ts, batch.tolist()):
+        assert _bits(L(t)) == _bits(a), t
+
+
+def test_equality_is_identity_and_hashable():
+    x = np.array([0.3, -1.2, 4.0, 0.9])
+    L, M = PiecewiseLinear(x), PiecewiseLinear(x.copy())
+    assert L == L
+    assert L != M
+    assert len({L, M, L}) == 2
+    assert {L: 1}[L] == 1
+    assert "_grid" not in repr(L)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_gives_nan_without_warning(t):
+    L = PiecewiseLinear(np.array([0.3, -1.2, 4.0, 0.9, -2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(L(t))
+        assert math.isnan(L(np.float64(t)))
+        assert math.isnan(L(np.array(t)))
+        batch = L(np.array([t, 1.0]))
+    assert math.isnan(batch[0])
+    assert batch[1] == L(1.0)
 
 
 def test_interpolant_rejects_small_n():
