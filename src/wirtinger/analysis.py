@@ -70,11 +70,10 @@ def sample(f: PeriodicFunction, n: int) -> np.ndarray:
 def tail_energy(f: PeriodicFunction, n: int) -> float:
     """(1/n) * sum over blocks k >= 2 of the squared projection of the samples.
 
-    Vanishes as n grows exactly when f is a pure first harmonic; needs
-    n >= 5 (odd) or n >= 6 (even) so that blocks with k >= 2 exist.
+    Vanishes as n grows exactly when f is a pure first harmonic.  Needs
+    n >= 4, as sample does; every such n has a block k >= 2, since for even
+    n the alternating line k = n/2 is one (at n = 4 it is the whole tail).
     """
-    if n < 5 or (n % 2 == 0 and n < 6):
-        raise InvalidSize(f"no blocks k >= 2 for n={n}")
     return _tail_of_samples(sample(f, n))
 
 
@@ -119,7 +118,7 @@ def rayleigh_sweep(f: PeriodicFunction, ns) -> ConvergenceReport:
         d = u - np.roll(u, 1)
         # cos(2pi/n) - <u,Su>/<u,u> without subtracting two numbers near 1
         slack = fdot(d, d) / (2.0 * fdot(u, u)) - 2.0 * math.sin(math.pi / n) ** 2
-        tail = _tail_of_samples(x) if n >= 5 else 0.0
+        tail = _tail_of_samples(x)
         elapsed = (time.perf_counter() - start) * 1e3
         rows.append(
             SweepRow(

@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
     ConstraintViolation,
     ConvergenceFailure,
     DegenerateVector,
+    InvalidSize,
     NonFinite,
     QuadratureFailure,
 )
@@ -48,14 +48,6 @@ from .spectral import build_basis, canonical_form, coordinates, verify_action
 # sweep and fourier take O(n log n) time and a few length-n arrays; n = 2^20 runs in seconds
 SAMPLE_MAX_N = 2**20
 
-DEFAULT_NS = {
-    "verify": "4..64",
-    "bounds": "4..128",
-    "sweep": "8,16,32,64,128",
-    "fourier": "257",
-    "maximize": "4..64",
-}
-
 # per-check residual thresholds for `verify`; a --tol override replaces all of them
 VERIFY_THRESHOLDS = {
     "gram": 1e-12,
@@ -68,18 +60,6 @@ VERIFY_THRESHOLDS = {
 
 class ConfigError(Exception):
     """Invalid command-line configuration (maps to exit code 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    ns: tuple
-    fn: PeriodicFunction | None
-    jmax: int
-    tol: float | None
-    seed: int | None
-    out: str | None
-    fmt: str
 
 
 def parse_n_spec(text: str) -> tuple:
@@ -105,18 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Discrete Wirtinger inequality toolkit: verify, tabulate, sweep.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "verify": "run the orthonormality/action/canonical/slack/oracle check suite",
-        "bounds": "tabulate cos(2*pi/n), the piecewise bound, and their margin",
-        "sweep": "convergence table for a sampled periodic function",
-        "fourier": "discrete vs quadrature Fourier coefficients",
-        "maximize": "eigensolver maximum of the correlation form vs cos(2*pi/n)",
-    }
-    for name, help_text in specs.items():
+    for name, (handler, default_n, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", default=DEFAULT_NS[name], metavar="SPEC",
-                       help=f"int, range 'a..b', or comma list (default {DEFAULT_NS[name]})")
+        p.set_defaults(handler=handler)
+        p.add_argument("--n", default=default_n, metavar="SPEC",
+                       help=f"int, range 'a..b', or comma list (default {default_n})")
         if name in ("verify", "fourier"):
             p.add_argument("--tol", type=float, default=None,
                            help="tolerance override for pass/fail checks")
@@ -155,45 +128,30 @@ def _resolve_function(args) -> PeriodicFunction:
     raise ConfigError("this command needs --fn or --harmonics")
 
 
-def _make_config(args) -> RunConfig:
+def _make_config(args) -> argparse.Namespace:
+    """The parsed namespace, with `ns` (sorted, deduplicated) and `fn` resolved.
+
+    Size rules (n >= 4, jmax >= 1, the aliasing guard) are the library's own:
+    its InvalidSize is raised at the smallest n, before any output.
+    """
     ns = parse_n_spec(args.n)
     if not ns:
         raise ConfigError("--n parsed to an empty set")
-    if min(ns) < 4:
-        raise ConfigError(f"n must be >= 4, got {min(ns)}")
     tol = getattr(args, "tol", None)
     if tol is not None and tol <= 0:
         raise ConfigError(f"--tol must be positive, got {tol}")
-
-    fn = None
-    jmax = getattr(args, "jmax", 1)
     cmd = args.command
     if cmd in ("sweep", "fourier"):
-        fn = _resolve_function(args)
+        args.fn = _resolve_function(args)
         if max(ns) > SAMPLE_MAX_N:
             raise ConfigError(f"{cmd} capped at n <= {SAMPLE_MAX_N}")
-    if cmd == "fourier":
-        if jmax < 1:
-            raise ConfigError(f"--jmax must be >= 1, got {jmax}")
-        if len(ns) != 1:
-            raise ConfigError("fourier needs a single --n value")
-        if ns[0] < 2 * jmax + 2:
-            raise ConfigError(
-                f"aliasing guard: need n >= 2*jmax+2 = {2 * jmax + 2}, got n={ns[0]}"
-            )
+    if cmd == "fourier" and len(ns) != 1:
+        raise ConfigError("fourier needs a single --n value")
+    # fail fast: oracle_max would raise only after every smaller n had run
     if cmd in ("verify", "maximize") and max(ns) > ORACLE_MAX_N:
         raise ConfigError(f"{cmd} capped at n <= {ORACLE_MAX_N} (eigensolver range)")
-
-    return RunConfig(
-        command=cmd,
-        ns=tuple(sorted(set(ns))),
-        fn=fn,
-        jmax=jmax,
-        tol=tol,
-        seed=getattr(args, "seed", None),
-        out=args.out,
-        fmt=args.fmt,
-    )
+    args.ns = tuple(sorted(set(ns)))
+    return args
 
 
 def _fmt_value(v) -> str:
@@ -230,7 +188,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(rows: list, header: list, cfg: RunConfig) -> None:
+def _emit(rows: list, header: list, cfg) -> None:
     text = _render(rows, header, cfg.fmt)
     if cfg.out:
         _atomic_write(cfg.out, text)
@@ -238,7 +196,7 @@ def _emit(rows: list, header: list, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
+def _cmd_bounds(cfg) -> int:
     header = ["n", "cos_bound", "piecewise_bound", "margin"]
     rows = []
     ok = True
@@ -251,17 +209,13 @@ def _cmd_bounds(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    report = rayleigh_sweep(cfg.fn, cfg.ns)
+def _cmd_sweep(cfg) -> int:
     header = ["n", "mean", "energy_l2", "energy_h1", "slack", "tail_energy", "elapsed_ms"]
-    rows = [{"n": r.n, "mean": r.mean, "energy_l2": r.energy_l2, "energy_h1": r.energy_h1,
-             "slack": r.slack, "tail_energy": r.tail_energy, "elapsed_ms": r.elapsed_ms}
-            for r in report.rows]
-    _emit(rows, header, cfg)
+    _emit([vars(r) for r in rayleigh_sweep(cfg.fn, cfg.ns).rows], header, cfg)
     return 0
 
 
-def _cmd_fourier(cfg: RunConfig) -> int:
+def _cmd_fourier(cfg) -> int:
     n = cfg.ns[0]
     tol = cfg.tol if cfg.tol is not None else 1e-3
     discrete = fourier_discrete(cfg.fn, n, cfg.jmax)
@@ -278,7 +232,7 @@ def _cmd_fourier(cfg: RunConfig) -> int:
     return 0 if worst <= tol else 1
 
 
-def _cmd_maximize(cfg: RunConfig) -> int:
+def _cmd_maximize(cfg) -> int:
     header = ["n", "oracle_value", "cos_bound", "diff", "span_residual"]
     rows = []
     ok = True
@@ -294,7 +248,7 @@ def _cmd_maximize(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg) -> int:
     thresholds = dict(VERIFY_THRESHOLDS)
     if cfg.tol is not None:
         thresholds = {name: cfg.tol for name in thresholds}
@@ -336,28 +290,29 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
-    "fourier": _cmd_fourier,
-    "maximize": _cmd_maximize,
+# subcommand -> (handler, default --n, help), in --help order
+COMMANDS = {
+    "verify": (_cmd_verify, "4..64",
+               "run the orthonormality/action/canonical/slack/oracle check suite"),
+    "bounds": (_cmd_bounds, "4..128",
+               "tabulate cos(2*pi/n), the piecewise bound, and their margin"),
+    "sweep": (_cmd_sweep, "8,16,32,64,128", "convergence table for a sampled periodic function"),
+    "fourier": (_cmd_fourier, "257", "discrete vs quadrature Fourier coefficients"),
+    "maximize": (_cmd_maximize, "4..64",
+                 "eigensolver maximum of the correlation form vs cos(2*pi/n)"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = _make_config(args)
-    except ConfigError as exc:
+        return args.handler(_make_config(args))
+    except (ConfigError, InvalidSize) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _DISPATCH[cfg.command](cfg)
     except (ConvergenceFailure, QuadratureFailure, NonFinite,
             ConstraintViolation, DegenerateVector) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

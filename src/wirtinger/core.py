@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector, InvalidSize, NonFinite
+from .errors import BlockOutOfRange, DegenerateVector, InvalidSize, NonFinite
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,6 +21,11 @@ DEGENERATE_NORM = 1e-300
 def _require_size(n: int) -> None:
     if n < 4:
         raise InvalidSize(f"need n >= 4, got {n}")
+
+
+def _require_rotation_block(n: int, k: int) -> None:
+    if not 1 <= k <= (n - 1) // 2:
+        raise BlockOutOfRange(f"need 1 <= k <= {(n - 1) // 2} for n={n}, got {k}")
 
 
 def as_samples(x) -> np.ndarray:

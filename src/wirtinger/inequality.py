@@ -12,7 +12,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, _require_size, as_samples, cyclic_correlation, fdot, fsum, shift_matrix
+from .core import (
+    TWO_PI,
+    _require_size,
+    as_samples,
+    constraint_status,
+    cyclic_correlation,
+    fdot,
+    shift_matrix,
+)
 from .errors import ConstraintViolation, ConvergenceFailure, InvalidSize
 from .spectral import aligned_harmonics
 
@@ -73,11 +81,10 @@ def check_inequality(x) -> InequalityReport:
     """
     v = as_samples(x)
     _require_size(v.size)
-    mean = fsum(v) / v.size
-    norm_sq = fdot(v, v)
-    if abs(mean) > CONSTRAINT_TOL or abs(norm_sq - 1.0) > CONSTRAINT_TOL:
+    status = constraint_status(v)
+    if abs(status.mean) > CONSTRAINT_TOL or abs(status.norm_sq - 1.0) > CONSTRAINT_TOL:
         raise ConstraintViolation(
-            f"constraints not met: mean={mean:.3e}, norm^2-1={norm_sq - 1.0:.3e}"
+            f"constraints not met: mean={status.mean:.3e}, norm^2-1={status.norm_sq - 1.0:.3e}"
         )
     corr = cyclic_correlation(v)
     bound = discrete_bound(v.size)

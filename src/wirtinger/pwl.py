@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, _require_size, as_samples, fdot
-from .errors import BlockOutOfRange, DimensionMismatch
+from .core import TWO_PI, _require_rotation_block, _require_size, as_samples, fdot
+from .errors import DimensionMismatch
 
 # Evaluation points a few ulps (in knot-index units) from a knot are snapped
 # onto it, so querying a knot abscissa returns the stored value exactly.  The
@@ -122,6 +122,5 @@ def basis_norm(n: int, k: int) -> float:
     """Squared interpolant norm (4*pi/3n)(1 + cos(2*pi*k/n)/2) of the block-k
     cosine and sine basis vectors; both share it."""
     _require_size(n)
-    if not 1 <= k <= (n - 1) // 2:
-        raise BlockOutOfRange(f"need 1 <= k <= {(n - 1) // 2} for n={n}, got {k}")
+    _require_rotation_block(n, k)
     return (4.0 * math.pi / (3.0 * n)) * (1.0 + 0.5 * math.cos(TWO_PI * k / n))

@@ -8,15 +8,21 @@ from collections.abc import Callable
 
 from .errors import QuadratureFailure
 
+# Maximum bisection depth.  On an interval containing a kink the error
+# estimate shrinks by 4 per level while the tolerance only halves, so the
+# ratio closes one bit per level and tight tolerances can need close to 50
+# levels.  52 halvings take the width down to the spacing of doubles, past
+# which no new midpoints are representable, so deeper recursion cannot
+# refine anything.
+MAX_DEPTH = 52
+# Bisections forced before an interval may be accepted.  Guards against
+# integrands that happen to vanish on the coarse dyadic grid (e.g.
+# trigonometric products sampled at multiples of pi/2), which would
+# otherwise pass the error test instantly.
+MIN_DEPTH = 6
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 52,
-    min_depth: int = 6,
-) -> float:
+
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
     """Integrate f over [a, b] by adaptive Simpson bisection.
 
     Args:
@@ -24,29 +30,18 @@ def adaptive_simpson(
         a: Lower bound.
         b: Upper bound.
         tol: Absolute error tolerance, halved at each subdivision.
-        max_depth: Maximum bisection depth.  On an interval containing a
-            kink the error estimate shrinks by 4 per level while the
-            tolerance only halves, so the ratio closes one bit per level
-            and tight tolerances can need close to 50 levels.  52 halvings
-            take the width down to the spacing of doubles, past which no
-            new midpoints are representable, so deeper recursion cannot
-            refine anything.
-        min_depth: Bisections forced before an interval may be accepted.
-            Guards against integrands that happen to vanish on the coarse
-            dyadic grid (e.g. trigonometric products sampled at multiples
-            of pi/2), which would otherwise pass the error test instantly.
 
     Returns:
         The integral estimate (with Richardson correction).
 
     Raises:
         QuadratureFailure: If an interval still misses its tolerance at
-            max_depth.
+            MAX_DEPTH.
     """
     if a == b:
         return 0.0
     if a > b:
-        return -adaptive_simpson(f, b, a, tol, max_depth, min_depth)
+        return -adaptive_simpson(f, b, a, tol)
 
     def simpson(fa, fm, fb, width):
         return width / 6.0 * (fa + 4.0 * fm + fb)
@@ -60,9 +55,9 @@ def adaptive_simpson(
         left = simpson(flo, flm, fmid, mid - lo)
         right = simpson(fmid, frm, fhi, hi - mid)
         err = (left + right - whole) / 15.0
-        if depth >= min_depth and abs(err) <= tol:
+        if depth >= MIN_DEPTH and abs(err) <= tol:
             return left + right + err
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise QuadratureFailure(
                 f"tolerance {tol:.3e} unreachable on [{lo:.6g}, {hi:.6g}] at depth {depth}"
             )

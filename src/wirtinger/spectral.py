@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, _require_size, as_samples, fdot
+from .core import TWO_PI, _require_rotation_block, _require_size, as_samples, fdot
 from .errors import BlockOutOfRange, DimensionMismatch
 
 
@@ -200,8 +200,7 @@ def aligned_harmonics(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Both vectors span the rotation plane H_k but are phase-aligned to the
     sample times (the printed basis vectors start at t = 0 instead).
     """
-    if not 1 <= k <= (n - 1) // 2:
-        raise BlockOutOfRange(f"need 1 <= k <= {(n - 1) // 2} for n={n}, got {k}")
+    _require_rotation_block(n, k)
     i = np.arange(1, n + 1)
     angles = (TWO_PI / n) * ((i * k) % n)
     return np.cos(angles), np.sin(angles)

@@ -15,6 +15,7 @@ from wirtinger import (
     PeriodicFunction,
     RangeError,
     adaptive_simpson,
+    block_energies,
     center_normalize,
     fourier_discrete,
     fourier_quadrature,
@@ -101,10 +102,24 @@ def test_tail_energy_mixture_stays_up():
 
 
 def test_tail_energy_size_gate():
-    f = named_function("sin1")
+    f = harmonic_mix([1.0, 0.0, 0.5, 0.0])
     with pytest.raises(InvalidSize):
-        tail_energy(f, 4)
-    assert tail_energy(f, 5) <= 1e-12
+        tail_energy(f, 3)
+    # at n = 4 the only block k >= 2 is the alternating line k = n/2 = 2
+    assert tail_energy(f, 4) == block_energies(sample(f, 4))[2] / 4
+    assert tail_energy(named_function("sin1"), 5) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "coefficients, tail",
+    [([0.0, 0.0, 1.0], 1.0), ([1.0, 0.0, 0.5, 0.0], 0.25)],  # cos 2t; cos t + 0.5 cos 2t
+)
+def test_tail_energy_at_four_is_the_alternating_line(coefficients, tail):
+    """On the 4-point grid cos 2t samples (-1, 1, -1, 1): all of a*cos 2t lies
+    in block k = 2, and its tail is a^2 (the (1/n) sum of the squared samples)."""
+    f = harmonic_mix(coefficients)
+    assert tail_energy(f, 4) == pytest.approx(tail, abs=1e-15)
+    assert rayleigh_sweep(f, [4]).rows[0].tail_energy == pytest.approx(tail, abs=1e-15)
 
 
 def test_sweep_rows_sorted_and_finite():
@@ -149,7 +164,9 @@ def test_sweep_slack_positivity_across_registry():
     for name in ("sin1", "cos1", "sin2", "mix13", "cubicodd"):
         report = rayleigh_sweep(named_function(name), [4, 9, 32, 33])
         assert all(r.slack >= -1e-12 for r in report.rows)
-        assert report.rows[0].tail_energy == 0.0  # no k >= 2 blocks at n=4
+        # each of these has f(t + pi) = -f(t) on the 4-point grid, so its one
+        # block k >= 2 there (the alternating line) holds only rounding, ~eps^2
+        assert report.rows[0].tail_energy <= 1e-30
 
 
 @pytest.mark.parametrize("n", [64, 4096, 65536])

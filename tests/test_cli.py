@@ -57,6 +57,35 @@ def test_verify_rejects_small_n():
     assert main(["verify", "--n", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3"],
+    ["bounds", "--n", "3"],
+    ["sweep", "--fn", "sin1", "--n", "3"],
+    ["maximize", "--n", "3"],
+    ["fourier", "--fn", "sin1", "--jmax", "0"],
+    ["fourier", "--fn", "sin1", "--n", "5", "--jmax", "2"],
+])
+def test_library_size_errors_are_usage_errors(argv, tmp_path, capsys):
+    """The library's InvalidSize exits 2 with its message, before any output."""
+    out = tmp_path / "never.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command, default_n", [
+    ("verify", "4..64"),
+    ("bounds", "4..128"),
+    ("sweep", "8,16,32,64,128"),
+    ("fourier", "257"),
+    ("maximize", "4..64"),
+])
+def test_default_n(command, default_n):
+    assert _build_parser().parse_args([command]).n == default_n
+
+
 def test_verify_unachievable_tolerance(capsys):
     assert main(["verify", "--n", "4..6", "--tol", "1e-20"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -128,6 +157,16 @@ def test_sweep_harmonics_flag(capsys):
     assert main(["sweep", "--harmonics", "0,1", "--n", "16,32"]) == 0
     out = capsys.readouterr().out
     assert out.startswith(SWEEP_HEADER)
+
+
+@pytest.mark.parametrize("harmonics, tail", [("0,0,1", 1.0), ("1,0,0.5,0", 0.25)])
+def test_sweep_tail_at_four(harmonics, tail, capsys):
+    """At n = 4 the alternating line k = 2 is the tail: cos 2t gives 1 and
+    cos t + 0.5 cos 2t gives 0.25."""
+    assert main(["sweep", f"--harmonics={harmonics}", "--n", "4", "--format", "jsonl"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["n"] == 4
+    assert row["tail_energy"] == pytest.approx(tail, abs=1e-15)
 
 
 def test_sweep_jsonl_format(capsys):

@@ -44,4 +44,4 @@ def test_kinked_integrand():
 def test_step_discontinuity_fails_budget():
     step = lambda t: 0.0 if t < 0.5773502691 else 1.0
     with pytest.raises(QuadratureFailure):
-        adaptive_simpson(step, 0.0, 1.0, tol=1e-13, max_depth=12)
+        adaptive_simpson(step, 0.0, 1.0, tol=1e-13)
