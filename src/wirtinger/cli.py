@@ -47,6 +47,9 @@ from .spectral import build_basis, canonical_form, coordinates, verify_action
 
 # sweep and fourier take O(n log n) time and a few length-n arrays; n = 2^20 runs in seconds
 SAMPLE_MAX_N = 2**20
+# |f| <= sum|c|, so the largest sum of squares the energies form, an n-point FFT's
+# |X_k|^2, is at most (n sum|c|)^2: kept a factor 4 below the largest double
+HARMONICS_MAX_ABS_SUM = sys.float_info.max ** 0.5 / (2 * SAMPLE_MAX_N)
 
 # per-check residual thresholds for `verify`; a --tol override replaces all of them
 VERIFY_THRESHOLDS = {
@@ -119,6 +122,8 @@ def _resolve_function(args) -> PeriodicFunction:
             raise ConfigError(f"cannot parse --harmonics {args.harmonics!r}")
         if not coeffs:
             raise ConfigError("--harmonics needs at least one coefficient")
+        if not sum(map(abs, coeffs)) <= HARMONICS_MAX_ABS_SUM:  # one comparison: NaN fails it
+            raise ConfigError(f"--harmonics needs sum |c| <= {HARMONICS_MAX_ABS_SUM:.3g}")
         return harmonic_mix(coeffs)
     if args.fn:
         try:

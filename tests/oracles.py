@@ -100,8 +100,8 @@ def fourier_interpolant(x, jmax: int) -> list:
 
 
 def trig_polynomial_dot(terms):
-    """Value and derivative of sum a*cos(j t) + b*sin(j t) over (j, a, b),
-    each as two numpy dot products over the harmonics."""
+    """t -> sum a*cos(j t) + b*sin(j t) over (j, a, b), as two numpy dot
+    products over the harmonics."""
     js = np.array([j for j, _, _ in terms], dtype=float)
     a = np.array([a for _, a, _ in terms], dtype=float)
     b = np.array([b for _, _, b in terms], dtype=float)
@@ -109,10 +109,7 @@ def trig_polynomial_dot(terms):
     def value(t: float) -> float:
         return float(np.dot(a, np.cos(js * t)) + np.dot(b, np.sin(js * t)))
 
-    def derivative(t: float) -> float:
-        return float(np.dot(js * b, np.cos(js * t)) - np.dot(js * a, np.sin(js * t)))
-
-    return value, derivative
+    return value
 
 
 def random_unit_zero_mean_per_vector(n: int, rng) -> np.ndarray:

@@ -26,6 +26,7 @@ from wirtinger import (
     sample,
     tail_energy,
 )
+from wirtinger.analysis import _period_integral
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -35,11 +36,7 @@ BESSEL_I0_1 = 1.2660658777520084
 
 
 def expsin_centered() -> PeriodicFunction:
-    return PeriodicFunction(
-        value=lambda t: math.exp(math.sin(t)) - BESSEL_I0_1,
-        derivative=lambda t: math.cos(t) * math.exp(math.sin(t)),
-        label="expsin0",
-    )
+    return PeriodicFunction(value=lambda t: math.exp(math.sin(t)) - BESSEL_I0_1, label="expsin0")
 
 
 class TestPeriodicFunctionProbes:
@@ -53,11 +50,34 @@ class TestPeriodicFunctionProbes:
 
     def test_rejects_aperiodic_value(self):
         with pytest.raises(ValueError, match="periodic"):
-            PeriodicFunction(value=lambda t: t, derivative=lambda t: 1.0)
+            PeriodicFunction(value=lambda t: t)
+        with pytest.raises(ValueError, match="periodic"):
+            PeriodicFunction(value=lambda t: 1e8 * (math.sin(t) + t))
 
-    def test_rejects_wrong_derivative(self):
-        with pytest.raises(ValueError, match="central differences"):
-            PeriodicFunction(value=math.sin, derivative=math.sin)
+    @pytest.mark.parametrize("amplitude", [1e-8, 1.0, 1e5, 1e8])
+    def test_periodicity_tolerance_scales_with_the_values(self, amplitude):
+        """sin(40t) evaluated at t + 2*pi moves by about 40 * ulp(2*pi) of
+        its amplitude; an absolute tolerance of 1e-10 rejects that at 1e5."""
+        PeriodicFunction(value=lambda t: amplitude * math.sin(40 * t))
+
+    def test_registry_values_are_the_closed_forms(self):
+        """sin1, cos1, sin2 and mix13 are coefficient tuples; they evaluate
+        to the bits of the math-module expressions, signs of zero included."""
+        forms = {
+            "sin1": math.sin,
+            "cos1": math.cos,
+            "sin2": lambda t: math.sin(2.0 * t),
+            "mix13": lambda t: math.sin(t) + 0.5 * math.cos(3.0 * t),
+        }
+        for t in np.linspace(-TWO_PI, 2 * TWO_PI, 1201).tolist() + [0.0, math.pi / 2]:
+            for name, form in forms.items():
+                got, want = named_function(name).value(t), form(t)
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_zero_terms_are_dropped(self):
+        f = harmonic_mix([0.0, 0.0, 0.0, -0.0, 0.0, 2.5])
+        assert f.value.__self__.terms == ((3, 0.0, 2.5),)
+        assert harmonic_mix([0.0]).value(1.0) == 0.0
 
 
 def test_sample_examples():
@@ -76,9 +96,7 @@ def test_sample_size_gate():
 
 def test_sample_non_finite():
     bad = PeriodicFunction(
-        value=lambda t: math.inf if abs(t - math.pi / 2) < 1e-9 else math.sin(t),
-        derivative=math.cos,
-        label="pole",
+        value=lambda t: math.inf if abs(t - math.pi / 2) < 1e-9 else math.sin(t), label="pole"
     )
     with pytest.raises(NonFinite):
         sample(bad, 4)  # t_1 = pi/2 hits the pole
@@ -185,7 +203,7 @@ def test_sweep_slack_matches_exact_quotient(n):
 
 
 def test_sweep_rejects_constant_function():
-    flat = PeriodicFunction(value=lambda t: 1.5, derivative=lambda t: 0.0, label="flat")
+    flat = PeriodicFunction(value=lambda t: 1.5, label="flat")
     with pytest.raises(DegenerateVector):
         rayleigh_sweep(flat, [8])
 
@@ -327,19 +345,36 @@ def test_harmonic_mix_roundtrip():
 
 def test_trig_polynomial_matches_dot_form():
     """harmonic_mix and partial_sum agree with the numpy dot-product form to a
-    few roundings per term, for the value and (j-weighted) the derivative."""
+    few roundings per term."""
     rng = np.random.default_rng(21)
     harmonics = 7
     flat = rng.uniform(-2.0, 2.0, 2 * harmonics).tolist()
     terms = list(zip(range(1, harmonics + 1), flat[0::2], flat[1::2]))
-    value_ref, derivative_ref = trig_polynomial_dot(terms)
+    value_ref = trig_polynomial_dot(terms)
     value_budget = 4 * harmonics * EPS * math.fsum(abs(a) + abs(b) for _, a, b in terms)
-    slope_budget = 4 * harmonics * EPS * math.fsum(j * (abs(a) + abs(b)) for j, a, b in terms)
     table = FourierTable(coefficients=tuple(terms), method="quadrature")
     for f in (harmonic_mix(flat), partial_sum(table, harmonics)):
         for t in np.linspace(-TWO_PI, 2 * TWO_PI, 301).tolist():
             assert abs(f.value(t) - value_ref(t)) <= value_budget
-            assert abs(f.derivative(t) - derivative_ref(t)) <= slope_budget
+
+
+@pytest.mark.parametrize("j", [1, 39, 40, 128, 1000])
+@pytest.mark.parametrize("amplitude", [1e-8, 1.0, 1e5, 1e8])
+def test_harmonic_mix_takes_any_harmonic_and_amplitude(j, amplitude):
+    """A*sin(jt) is accepted and evaluated at any j and A; the sweep's tail
+    column for it is checked in test_cli."""
+    f = harmonic_mix([0.0] * (2 * j - 1) + [amplitude])
+    for t in (0.3, 1.7, 5.9):
+        assert f.value(t) == amplitude * math.sin(j * t)
+
+
+@pytest.mark.parametrize("j", [127, 128, 256])
+def test_period_integral_does_not_alias(j):
+    """sin^2(jt) integrates to pi.  For j = 128 and 256 it vanishes on every
+    node a single [0, 2*pi] pass visits up to the forced depth (the multiples
+    of 2*pi/256), so that pass returns about 0; j = 127 is the control."""
+    got = _period_integral(lambda t: math.sin(j * t) ** 2, 1e-10)
+    assert got == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_fourier_table_coefficient_lookup():

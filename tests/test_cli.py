@@ -6,6 +6,7 @@ import pytest
 from oracles import verify_residuals_per_vector
 
 from wirtinger.cli import (
+    HARMONICS_MAX_ABS_SUM,
     SAMPLE_MAX_N,
     VERIFY_THRESHOLDS,
     ConfigError,
@@ -53,10 +54,6 @@ def test_verify_matches_per_vector_reference(seed, tmp_path, capsys):
     assert rc == 0
 
 
-def test_verify_rejects_small_n():
-    assert main(["verify", "--n", "3"]) == 2
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "3"],
     ["bounds", "--n", "3"],
@@ -64,6 +61,8 @@ def test_verify_rejects_small_n():
     ["maximize", "--n", "3"],
     ["fourier", "--fn", "sin1", "--jmax", "0"],
     ["fourier", "--fn", "sin1", "--n", "5", "--jmax", "2"],
+    ["bounds", "--n", "2..3"],
+    ["fourier", "--fn", "sin1", "--n", "4", "--jmax", "4"],
 ])
 def test_library_size_errors_are_usage_errors(argv, tmp_path, capsys):
     """The library's InvalidSize exits 2 with its message, before any output."""
@@ -100,10 +99,6 @@ def test_bounds_stdout(capsys):
     assert int(first[0]) == 4
     assert float(first[3]) == pytest.approx(0.1258, abs=5e-5)
     assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
-
-
-def test_bounds_rejects_bad_range():
-    assert main(["bounds", "--n", "2..3"]) == 2
 
 
 def test_bounds_file_byte_deterministic(tmp_path):
@@ -159,6 +154,56 @@ def test_sweep_harmonics_flag(capsys):
     assert out.startswith(SWEEP_HEADER)
 
 
+def sine_harmonics(j: int, amplitude: float) -> str:
+    """--harmonics value of amplitude * sin(jt)."""
+    return "--harmonics=" + ",".join(["0"] * (2 * j - 1) + [repr(amplitude)])
+
+
+@pytest.mark.parametrize("j", [1, 39, 40, 128, 1000])
+@pytest.mark.parametrize("amplitude", [1e-8, 1.0, 1e5, 1e8])
+def test_sweep_high_harmonics_and_amplitudes(j, amplitude, capsys):
+    """A*sin(jt) at n = 4096 > 2j: the tail is A^2/2 for j >= 2 and 0 for the
+    first harmonic, within the tail tests' unit-amplitude budget of 1e-10
+    scaled by the power A^2."""
+    assert main(["sweep", sine_harmonics(j, amplitude), "--n", "4096", "--format", "jsonl"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    tail = 0.0 if j == 1 else amplitude**2 / 2
+    assert row["tail_energy"] == pytest.approx(tail, abs=1e-10 * amplitude**2)
+
+
+def test_sweep_large_first_harmonic(capsys):
+    assert main(["sweep", "--harmonics=1e6", "--n", "512"]) == 0
+    assert capsys.readouterr().out.startswith(SWEEP_HEADER)
+
+
+@pytest.mark.parametrize("harmonics", ["nan", "0,inf", "-inf", "1e160", "1e300,1",
+                                       f"{HARMONICS_MAX_ABS_SUM!r},1e140"])
+def test_sweep_rejects_harmonics_beyond_the_energy_range(harmonics, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main(["sweep", f"--harmonics={harmonics}", "--n", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --harmonics")
+    assert not os.listdir(tmp_path)
+
+
+def test_sweep_at_the_harmonics_bound(capsys):
+    """The largest accepted coefficient sum, at the largest n, keeps every
+    energy finite."""
+    assert main(["sweep", f"--harmonics={HARMONICS_MAX_ABS_SUM!r}", "--n", str(SAMPLE_MAX_N),
+                 "--format", "jsonl"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for v in row.values())
+
+
+def test_fourier_quadrature_fails_at_large_amplitude(capsys):
+    """The quadrature's tolerance is an absolute 1e-10, at the rounding level
+    of an integrand of size 1e6.  Here a_3 misses it at the deepest level: a
+    numerical failure, not a traceback."""
+    assert main(["fourier", "--harmonics=1e6", "--n", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+
+
 @pytest.mark.parametrize("harmonics, tail", [("0,0,1", 1.0), ("1,0,0.5,0", 0.25)])
 def test_sweep_tail_at_four(harmonics, tail, capsys):
     """At n = 4 the alternating line k = 2 is the tail: cos 2t gives 1 and
@@ -197,13 +242,6 @@ def test_fourier_single_harmonic(capsys):
     assert main(["fourier", "--fn", "sin1", "--n", "129", "--jmax", "1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert float(lines[1].split(",")[2]) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_fourier_aliasing_guard(tmp_path):
-    out = tmp_path / "f.csv"
-    assert main(["fourier", "--fn", "sin1", "--n", "4", "--jmax", "4",
-                 "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["fourier", "--jmax", "8"]])
