@@ -23,9 +23,13 @@ from .spectral import block_energies, build_basis  # noqa: F401
 
 PROBE_POINTS = 17
 PERIODICITY_TOL = 1e-10
-# Quadrature splits the period at its golden-ratio point: the dyadic nodes of the two
-# pieces never line up, so no harmonic can vanish on both node sets and pass as 0.
-PERIOD_SPLIT = TWO_PI * (math.sqrt(5.0) - 1.0) / 2.0
+# Quadrature integrates the period as PERIOD_PIECES equal pieces.  Up to the forced
+# depth their nodes form one grid of 256 * PERIOD_PIECES = 1280 points, on which a
+# harmonic m takes the values of an integer alias; over the whole period that alias
+# integrates to 0 as m does, unless m is a nonzero multiple of 1280 and the alias is
+# a constant.  One piece would alias every multiple of 256; unequal pieces are not
+# whole periods of their aliases, so near-multiples would go wrong.
+PERIOD_PIECES = 5
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ class PeriodicFunction:
             return  # periodic by construction
         probes = (TWO_PI * (np.arange(PROBE_POINTS) + 0.31) / PROBE_POINTS).tolist()
         values = [self.value(t) for t in probes]
-        # f's rounding grows with its size, so the tolerance is relative to it
-        tol = PERIODICITY_TOL * max(abs(v) for v in values)
+        # f's rounding grows with its size, so the tolerance is relative to it above 1
+        tol = PERIODICITY_TOL * max(1.0, *(abs(v) for v in values))
         for t, v in zip(probes, values):
             if abs(self.value(t + TWO_PI) - v) > tol:
                 raise ValueError(f"value is not 2*pi-periodic at t={t:.6g}")
@@ -203,9 +207,10 @@ def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> Fo
 
 
 def _period_integral(g: Callable[[float], float], tol: float) -> float:
-    """Integral of g over [0, 2*pi], split at PERIOD_SPLIT, to absolute tol."""
-    return (adaptive_simpson(g, 0.0, PERIOD_SPLIT, tol=0.5 * tol)
-            + adaptive_simpson(g, PERIOD_SPLIT, TWO_PI, tol=0.5 * tol))
+    """Integral of g over [0, 2*pi], in PERIOD_PIECES equal pieces, to absolute tol."""
+    edges = [TWO_PI * i / PERIOD_PIECES for i in range(PERIOD_PIECES + 1)]
+    return math.fsum(adaptive_simpson(g, lo, hi, tol=tol / PERIOD_PIECES)
+                     for lo, hi in zip(edges, edges[1:]))
 
 
 def _trig_polynomial(terms, label: str) -> PeriodicFunction:

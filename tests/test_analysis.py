@@ -54,6 +54,13 @@ class TestPeriodicFunctionProbes:
         with pytest.raises(ValueError, match="periodic"):
             PeriodicFunction(value=lambda t: 1e8 * (math.sin(t) + t))
 
+    def test_periodicity_tolerance_has_a_floor(self):
+        """sin(17t) takes one value at the 17 probes 2*pi*(k + 0.31)/17, so this
+        periodic bump is 0 at each of them, and a few 1e-15 one period later:
+        a tolerance relative to the probed values alone would be 0 and reject
+        it."""
+        PeriodicFunction(value=lambda t: max(0.0, math.sin(17 * t) - math.sin(0.62 * math.pi)))
+
     @pytest.mark.parametrize("amplitude", [1e-8, 1.0, 1e5, 1e8])
     def test_periodicity_tolerance_scales_with_the_values(self, amplitude):
         """sin(40t) evaluated at t + 2*pi moves by about 40 * ulp(2*pi) of
@@ -368,13 +375,23 @@ def test_harmonic_mix_takes_any_harmonic_and_amplitude(j, amplitude):
         assert f.value(t) == amplitude * math.sin(j * t)
 
 
-@pytest.mark.parametrize("j", [127, 128, 256])
+@pytest.mark.parametrize("j", [127, 128, 207, 256, 335, 384, 512])
 def test_period_integral_does_not_alias(j):
-    """sin^2(jt) integrates to pi.  For j = 128 and 256 it vanishes on every
-    node a single [0, 2*pi] pass visits up to the forced depth (the multiples
-    of 2*pi/256), so that pass returns about 0; j = 127 is the control."""
+    """sin^2(jt) integrates to pi.  For j a multiple of 128 it vanishes on
+    every node a single [0, 2*pi] pass visits up to the forced depth (the
+    multiples of 2*pi/256), so that pass returns about 0.  For j = 207 and
+    335 a piece ending at the golden-ratio point of the period sees a slow
+    alias of sin^2(jt) that does not integrate to its mean.  j = 127 is the
+    control."""
     got = _period_integral(lambda t: math.sin(j * t) ** 2, 1e-10)
     assert got == pytest.approx(math.pi, abs=1e-10)
+
+
+def test_period_integral_of_a_near_alias():
+    """cos(400t)cos(14t) has the harmonics 386 and 414; each aliases to an
+    integer frequency on the pieces' nodes, and integrates to 0."""
+    got = _period_integral(lambda t: math.cos(400 * t) * math.cos(14 * t), 1e-10)
+    assert got == pytest.approx(0.0, abs=1e-10)
 
 
 def test_fourier_table_coefficient_lookup():

@@ -194,11 +194,13 @@ def test_sweep_at_the_harmonics_bound(capsys):
     assert all(math.isfinite(v) for v in row.values())
 
 
-def test_fourier_quadrature_fails_at_large_amplitude(capsys):
-    """The quadrature's tolerance is an absolute 1e-10, at the rounding level
-    of an integrand of size 1e6.  Here a_3 misses it at the deepest level: a
-    numerical failure, not a traceback."""
-    assert main(["fourier", "--harmonics=1e6", "--n", "16"]) == 1
+@pytest.mark.parametrize("harmonics", ["1e8", "0,1e8"])
+def test_fourier_quadrature_fails_at_large_amplitude(harmonics, capsys):
+    """The quadrature's tolerance is an absolute 1e-10.  An integrand of size
+    1e8 rounds by about 1e-8, so the error estimate misses the tolerance at
+    every depth and an interval reaches the deepest level within a few
+    thousand evaluations: a numerical failure, not a traceback."""
+    assert main(["fourier", f"--harmonics={harmonics}", "--n", "16"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: ")
