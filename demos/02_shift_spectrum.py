@@ -15,7 +15,6 @@ from wirtinger import (
     Fixed,
     Rotation,
     block_energies,
-    block_layout,
     build_basis,
     canonical_form,
     coordinates,
@@ -34,7 +33,7 @@ print(f"action residual {verify_action(basis):.3e}")
 print()
 
 print("block structure:")
-for blk in block_layout(n):
+for blk in basis.blocks:
     if isinstance(blk, Fixed):
         print(f"  k={blk.k}: fixed line, eigenvalue {blk.eigenvalue:+.0f}")
     elif isinstance(blk, Rotation):
@@ -47,7 +46,7 @@ rng = np.random.default_rng(3)
 x = rng.standard_normal(n)
 y = coordinates(x, basis)
 y_shifted = coordinates(shift(x), basis)
-for blk in block_layout(n):
+for blk in basis.blocks:
     if not isinstance(blk, Rotation):
         continue
     i, j = blk.indices
@@ -59,7 +58,7 @@ for blk in block_layout(n):
 print()
 
 # in these coordinates the correlation sum is a weighted sum of squares
-q = canonical_form(y, n)
+q = canonical_form(y, basis)
 print(f"correlation via samples        {cyclic_correlation(x):.15f}")
 print(f"correlation via canonical form {q:.15f}")
 

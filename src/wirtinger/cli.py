@@ -7,6 +7,7 @@ as CSV (default) or JSON lines, floats at 17 significant digits, LF endings.
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -65,8 +66,8 @@ class ConfigError(Exception):
     """Invalid command-line configuration (maps to exit code 2)."""
 
 
-def parse_n_spec(text: str) -> tuple:
-    """Parse --n: a single integer '8', a range '4..64', or a list '8,16,32'."""
+def parse_n_spec(text: str):
+    """Parse --n: an integer '8', a range '4..64' (left unbuilt), or a list '8,16,32'."""
     text = text.strip()
     try:
         if ".." in text:
@@ -74,7 +75,7 @@ def parse_n_spec(text: str) -> tuple:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ConfigError(f"empty range {text!r}")
-            return tuple(range(lo, hi + 1))
+            return range(lo, hi + 1)
         if "," in text:
             return tuple(int(p) for p in text.split(",") if p.strip())
         return (int(text),)
@@ -142,18 +143,22 @@ def _make_config(args) -> argparse.Namespace:
     ns = parse_n_spec(args.n)
     if not ns:
         raise ConfigError("--n parsed to an empty set")
+    # a range's last size is its largest, and max() would iterate it
+    largest = ns[-1] if isinstance(ns, range) else max(ns)
     tol = getattr(args, "tol", None)
-    if tol is not None and tol <= 0:
-        raise ConfigError(f"--tol must be positive, got {tol}")
+    if tol is not None and not 0.0 < tol < math.inf:  # one comparison: NaN fails it
+        raise ConfigError(f"--tol must be finite and positive, got {tol}")
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     cmd = args.command
     if cmd in ("sweep", "fourier"):
         args.fn = _resolve_function(args)
-        if max(ns) > SAMPLE_MAX_N:
+        if largest > SAMPLE_MAX_N:
             raise ConfigError(f"{cmd} capped at n <= {SAMPLE_MAX_N}")
     if cmd == "fourier" and len(ns) != 1:
         raise ConfigError("fourier needs a single --n value")
     # fail fast: oracle_max would raise only after every smaller n had run
-    if cmd in ("verify", "maximize") and max(ns) > ORACLE_MAX_N:
+    if cmd in ("verify", "maximize") and largest > ORACLE_MAX_N:
         raise ConfigError(f"{cmd} capped at n <= {ORACLE_MAX_N} (eigensolver range)")
     args.ns = tuple(sorted(set(ns)))
     return args
@@ -268,7 +273,7 @@ def _cmd_verify(cfg) -> int:
 
         for x in random_unit_zero_mean_rows(n, 5, rng):
             corr = cyclic_correlation(x)
-            form = canonical_form(coordinates(x, basis), n)
+            form = canonical_form(coordinates(x, basis), basis)
             # the roundoff in form - corr is absolute (about eps*|x|^2), so below
             # |corr| = 1e-3 the check turns absolute instead of measuring roundoff
             rel = abs(form - corr) / max(abs(corr), 1e-3)

@@ -101,41 +101,33 @@ def build_basis(n: int) -> CyclicBasis:
     return CyclicBasis(n=n, vectors=vectors, blocks=blocks)
 
 
-@dataclass(frozen=True)
-class ActionResidual:
-    """How far shift(e_i) deviates from the predicted block image."""
+def action_residuals(basis: CyclicBasis) -> dict[int, float]:
+    """Residual of the shift's action on each basis block, keyed by block label k.
 
-    k: int
-    residual: float
-
-
-def action_residuals(basis: CyclicBasis) -> list[ActionResidual]:
-    """Residuals of the block action of the shift on each basis block.
-
-    On a rotation block the predicted image is the rotation by +angle:
+    The whole basis is shifted once.  On a rotation block the predicted image
+    is the rotation by +angle:
     shift(e_cos) = cos*e_cos + sin*e_sin, shift(e_sin) = -sin*e_cos + cos*e_sin.
     """
-    out = []
     v = basis.vectors
+    shifted = np.roll(v, 1, axis=1)
+    out = {}
     for b in basis.blocks:
         if isinstance(b, Fixed):
-            e = v[b.index]
-            r = np.linalg.norm(np.roll(e, 1) - b.eigenvalue * e)
+            r = np.linalg.norm(shifted[b.index] - b.eigenvalue * v[b.index])
         else:
-            ec, es = v[b.indices[0]], v[b.indices[1]]
+            i, j = b.indices
             c, s = math.cos(b.angle), math.sin(b.angle)
-            tc, ts = np.roll(ec, 1), np.roll(es, 1)
             r = max(
-                np.linalg.norm(tc - (c * ec + s * es)),
-                np.linalg.norm(ts - (-s * ec + c * es)),
+                np.linalg.norm(shifted[i] - (c * v[i] + s * v[j])),
+                np.linalg.norm(shifted[j] - (-s * v[i] + c * v[j])),
             )
-        out.append(ActionResidual(k=b.k, residual=float(r)))
+        out[b.k] = float(r)
     return out
 
 
 def verify_action(basis: CyclicBasis) -> float:
     """Maximum block-action residual over all basis vectors."""
-    return max(r.residual for r in action_residuals(basis))
+    return max(action_residuals(basis).values())
 
 
 def coordinates(x, basis: CyclicBasis) -> np.ndarray:
@@ -146,7 +138,7 @@ def coordinates(x, basis: CyclicBasis) -> np.ndarray:
     return basis.vectors @ v
 
 
-def canonical_form(y, n: int) -> float:
+def canonical_form(y, basis: CyclicBasis) -> float:
     """Value of the correlation quadratic form <X, shift(X)> from coordinates.
 
     Each fixed block contributes eigenvalue * y_i^2 and each rotation block
@@ -154,11 +146,10 @@ def canonical_form(y, n: int) -> float:
     correlation.
     """
     yv = as_samples(y)
-    blocks = block_layout(n)
-    if yv.size != n:
-        raise DimensionMismatch(f"coordinate vector has length {yv.size}, expected {n}")
+    if yv.size != basis.n:
+        raise DimensionMismatch(f"coordinate vector has length {yv.size}, basis has n={basis.n}")
     terms = []
-    for b in blocks:
+    for b in basis.blocks:
         if isinstance(b, Fixed):
             terms.append(b.eigenvalue * yv[b.index] ** 2)
         else:

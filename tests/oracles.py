@@ -5,8 +5,9 @@ geometry, least squares) rather than the library's closed forms, so
 agreement is a genuine cross-check and not a tautology.  The exceptions are
 the routes the library computed by before it took a faster one (interpolant
 inner products for Fourier coefficients, numpy dot products for trig
-polynomials, one vector at a time for `verify`): they are kept here as the
-reference the fast route must match.
+polynomials, one vector at a time for `verify`, one basis vector and a
+rebuilt block layout at a time for the spectral kernels): they are kept here
+as the reference the fast route must match.
 """
 
 import math
@@ -14,8 +15,10 @@ import math
 import numpy as np
 
 from wirtinger import (
+    Fixed,
     aligned_harmonics,
     basis_norm,
+    block_layout,
     build_basis,
     canonical_form,
     check_inequality,
@@ -112,6 +115,42 @@ def trig_polynomial_dot(terms):
     return value
 
 
+def action_residuals_per_vector(basis) -> dict:
+    """{k: residual} of the shift's block action, rolling each basis vector
+    on its own: shift(e_cos) = cos*e_cos + sin*e_sin and
+    shift(e_sin) = -sin*e_cos + cos*e_sin on a rotation block."""
+    v = basis.vectors
+    out = {}
+    for b in basis.blocks:
+        if isinstance(b, Fixed):
+            e = v[b.index]
+            r = np.linalg.norm(np.roll(e, 1) - b.eigenvalue * e)
+        else:
+            ec, es = v[b.indices[0]], v[b.indices[1]]
+            c, s = math.cos(b.angle), math.sin(b.angle)
+            tc, ts = np.roll(ec, 1), np.roll(es, 1)
+            r = max(
+                np.linalg.norm(tc - (c * ec + s * es)),
+                np.linalg.norm(ts - (-s * ec + c * es)),
+            )
+        out[b.k] = float(r)
+    return out
+
+
+def canonical_form_from_layout(y, n: int) -> float:
+    """The diagonal correlation form of coordinates y, with the blocks
+    rebuilt by block_layout(n) on every call."""
+    y = np.asarray(y, dtype=float)
+    terms = []
+    for b in block_layout(n):
+        if isinstance(b, Fixed):
+            terms.append(b.eigenvalue * y[b.index] ** 2)
+        else:
+            i, j = b.indices
+            terms.append(math.cos(b.angle) * (y[i] ** 2 + y[j] ** 2))
+    return math.fsum(terms)
+
+
 def random_unit_zero_mean_per_vector(n: int, rng) -> np.ndarray:
     """One standard_normal(n) draw per attempt, centered and scaled with
     compensated sums; retried while the centered norm is <= 1e-8."""
@@ -137,7 +176,7 @@ def verify_residuals_per_vector(ns, seed: int) -> dict:
         for _ in range(5):
             x = random_unit_zero_mean_per_vector(n, rng)
             corr = cyclic_correlation(x)
-            form = canonical_form(coordinates(x, basis), n)
+            form = canonical_form(coordinates(x, basis), basis)
             rel = abs(form - corr) / max(abs(corr), 1e-3)
             residuals["canonical"] = max(residuals["canonical"], rel)
 

@@ -242,7 +242,7 @@ def test_criterion_10_spectral_structure():
         for _ in range(20):
             x = rng.standard_normal(n)
             corr = cyclic_correlation(x)
-            form = canonical_form(coordinates(x, basis), n)
+            form = canonical_form(coordinates(x, basis), basis)
             worst_equiv = max(worst_equiv, abs(form - corr) / max(abs(corr), 1e-6))
 
     ok = worst_gram <= GRAM_TOL and worst_action <= ACTION_TOL and worst_equiv <= EQUIV_REL_TOL

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 from oracles import verify_residuals_per_vector
@@ -23,7 +24,7 @@ BOUNDS_HEADER = "n,cos_bound,piecewise_bound,margin"
 
 def test_parse_n_spec_forms():
     assert parse_n_spec("8") == (8,)
-    assert parse_n_spec("4..7") == (4, 5, 6, 7)
+    assert parse_n_spec("4..7") == range(4, 8)
     assert parse_n_spec("8,16,32") == (8, 16, 32)
 
 
@@ -68,6 +69,25 @@ def test_library_size_errors_are_usage_errors(argv, tmp_path, capsys):
     """The library's InvalidSize exits 2 with its message, before any output."""
     out = tmp_path / "never.csv"
     assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["maximize"],
+    ["sweep", "--fn", "sin1"],
+    ["fourier", "--fn", "sin1"],
+])
+def test_size_cap_checked_before_the_sizes_are_built(argv, tmp_path, capsys):
+    """A range far past the cap is refused from its end alone, without first
+    building its 10^12 sizes."""
+    out = tmp_path / "never.csv"
+    start = time.perf_counter()
+    assert main([*argv, "--n", "4..1000000000000", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -281,6 +301,11 @@ def test_usage_errors_exit_2():
     assert main(["sweep", "--fn", "sin1", "--harmonics", "1,0", "--n", "8"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["verify", "--n", "4..8", "--tol", "-1"]) == 2
+    # --tol must be finite and positive, --seed non-negative
+    assert main(["verify", "--n", "4..8", "--tol", "nan"]) == 2
+    assert main(["fourier", "--fn", "sin1", "--tol", "nan"]) == 2
+    assert main(["verify", "--n", "4..8", "--tol", "inf"]) == 2
+    assert main(["verify", "--n", "4..8", "--seed", "-1"]) == 2
     # --tol is read only by verify and fourier, --seed only by verify
     assert main(["bounds", "--tol", "1e-3"]) == 2
     assert main(["sweep", "--fn", "sin1", "--seed", "1"]) == 2

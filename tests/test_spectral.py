@@ -6,7 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import lstsq_projection_sq
+from oracles import (
+    action_residuals_per_vector,
+    canonical_form_from_layout,
+    lstsq_projection_sq,
+)
 
 from wirtinger import (
     BlockOutOfRange,
@@ -33,6 +37,8 @@ from wirtinger.spectral import (
 GRAM_TOL = 1e-12
 ACTION_TOL = 1e-12
 EQUIV_REL_TOL = 1e-11
+# sizes on which the one-roll kernels must give the per-vector reference's bits
+BIT_SIZES = (*range(4, 71), 128, 257, 512)
 
 
 def gram_residual(basis) -> float:
@@ -97,9 +103,32 @@ def test_action_residual(n):
 def test_action_rotates_by_plus_angle(n):
     """Every block, rotation planes included, matches the shift's image with
     the plane rotated by +2*pi*k/n; the opposite sense would miss by 2 sin."""
-    residuals = {r.k: r.residual for r in action_residuals(build_basis(n))}
+    residuals = action_residuals(build_basis(n))
     assert sorted(residuals) == list(range(n // 2 + 1))
     assert all(r <= ACTION_TOL for r in residuals.values())
+
+
+def test_action_residuals_match_per_vector_rolls_bits():
+    """One roll of the whole basis gives every block's residual the same bits
+    as rolling each basis vector on its own."""
+    for n in BIT_SIZES:
+        basis = build_basis(n)
+        assert action_residuals(basis) == action_residuals_per_vector(basis), n
+
+
+def test_canonical_form_matches_rebuilt_layout_bits():
+    """Reading basis.blocks gives the bits of rebuilding the layout from n."""
+    rng = np.random.default_rng(17)
+    for n in BIT_SIZES:
+        basis = build_basis(n)
+        for _ in range(3):
+            y = rng.standard_normal(n)
+            assert canonical_form(y, basis) == canonical_form_from_layout(y, n), n
+
+
+def test_canonical_form_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        canonical_form(np.ones(5), build_basis(4))
 
 
 def test_coordinates_of_basis_vector():
@@ -134,19 +163,20 @@ def test_parseval_random():
 
 
 def test_canonical_form_unit_coordinates():
+    b = build_basis(6)
     y = np.zeros(6)
     y[0] = 1.0
-    assert canonical_form(y, 6) == pytest.approx(1.0, abs=1e-15)
+    assert canonical_form(y, b) == pytest.approx(1.0, abs=1e-15)
     y = np.zeros(6)
     y[1] = 1.0
-    assert canonical_form(y, 6) == pytest.approx(-1.0, abs=1e-15)
+    assert canonical_form(y, b) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_canonical_form_extremal_vector_n4():
     s = 1 / math.sqrt(2)
     b = build_basis(4)
     y = coordinates(np.array([0, -s, 0, s]), b)
-    assert canonical_form(y, 4) == pytest.approx(math.cos(2 * math.pi / 4), abs=1e-15)
+    assert canonical_form(y, b) == pytest.approx(math.cos(2 * math.pi / 4), abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 31, 32, 128])
@@ -156,7 +186,7 @@ def test_canonical_equals_correlation(n):
     for _ in range(10):
         x = rng.standard_normal(n)
         corr = cyclic_correlation(x)
-        form = canonical_form(coordinates(x, b), n)
+        form = canonical_form(coordinates(x, b), b)
         assert form == pytest.approx(corr, rel=EQUIV_REL_TOL, abs=1e-11)
 
 
