@@ -19,6 +19,7 @@ from .core import (
     constraint_status,
     cyclic_correlation,
     fdot,
+    fsum_rows,
     shift_matrix,
 )
 from .errors import ConstraintViolation, ConvergenceFailure, InvalidSize
@@ -184,8 +185,8 @@ def random_unit_zero_mean_rows(n: int, m: int, rng: np.random.Generator) -> np.n
     again, which consumes the stream as a per-vector retry would.
     """
     xs = rng.standard_normal((m, n))
-    xs -= np.array([math.fsum(v.tolist()) for v in xs])[:, None] / n
-    norms = np.sqrt([math.fsum(v.tolist()) for v in np.square(xs)])
+    xs -= fsum_rows(xs)[:, None] / n
+    norms = np.sqrt(fsum_rows(np.square(xs)))
     keep = norms > 1e-8
     if keep.all():
         xs /= norms[:, None]

@@ -55,24 +55,35 @@ class CyclicBasis:
     blocks: tuple
 
     def block(self, k: int):
-        for b in self.blocks:
-            if b.k == k:
-                return b
-        raise BlockOutOfRange(f"no block k={k} for n={self.n} (valid: 0..{self.n // 2})")
+        n = self.n
+        if k == 0:
+            return self.blocks[0]
+        if 2 * k == n:
+            return self.blocks[1]
+        if 1 <= k <= (n - 1) // 2:
+            return self.blocks[_first_rotation_row(n) + k - 1]
+        raise BlockOutOfRange(f"no block k={k} for n={n} (valid: 0..{n // 2})")
 
     @property
     def block_ids(self) -> list[int]:
         return sorted(b.k for b in self.blocks)
 
 
+def _first_rotation_row(n: int) -> int:
+    """Row of the first cosine vector, after the one or two fixed blocks.
+
+    It is also the position of the rotation block k = 1 in `blocks`.
+    """
+    return 2 - n % 2
+
+
 def block_layout(n: int) -> tuple:
     """Block descriptors for dimension n, without building the vectors."""
     _require_size(n)
     blocks = [Fixed(index=0, eigenvalue=1.0, k=0)]
-    first = 1
     if n % 2 == 0:
         blocks.append(Fixed(index=1, eigenvalue=-1.0, k=n // 2))
-        first = 2
+    first = _first_rotation_row(n)
     for k in range(1, (n - 1) // 2 + 1):
         i = first + 2 * (k - 1)
         blocks.append(Rotation(indices=(i, i + 1), angle=TWO_PI * k / n, k=k))
@@ -83,7 +94,10 @@ def build_basis(n: int) -> CyclicBasis:
     """Construct the explicit shift-adapted orthonormal basis for R^n, n >= 4.
 
     Angles are evaluated as 2*pi*((j*k) mod n)/n so periodicity stays exact
-    for large j*k.
+    for large j*k.  All rotation rows are filled at once: the angles are
+    written into the sine rows, the cosine rows are taken from them, and the
+    sine rows are then overwritten in place, so the only temporary is the
+    (j*k) mod n table.
     """
     blocks = block_layout(n)
     j = np.arange(n)
@@ -92,11 +106,15 @@ def build_basis(n: int) -> CyclicBasis:
     if n % 2 == 0:
         vectors[1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
     amplitude = math.sqrt(2.0 / n)
-    for b in blocks:
-        if isinstance(b, Rotation):
-            angles = (TWO_PI / n) * ((j * b.k) % n)
-            vectors[b.indices[0]] = amplitude * np.cos(angles)
-            vectors[b.indices[1]] = amplitude * np.sin(angles)
+    first = _first_rotation_row(n)
+    cos_rows, sin_rows = vectors[first::2], vectors[first + 1::2]
+    phase = np.multiply.outer(np.arange(1, (n - 1) // 2 + 1), j)
+    np.remainder(phase, n, out=phase)
+    np.multiply(TWO_PI / n, phase, out=sin_rows)
+    np.cos(sin_rows, out=cos_rows)
+    np.multiply(amplitude, cos_rows, out=cos_rows)
+    np.sin(sin_rows, out=sin_rows)
+    np.multiply(amplitude, sin_rows, out=sin_rows)
     vectors.flags.writeable = False
     return CyclicBasis(n=n, vectors=vectors, blocks=blocks)
 
@@ -107,21 +125,25 @@ def action_residuals(basis: CyclicBasis) -> dict[int, float]:
     The whole basis is shifted once.  On a rotation block the predicted image
     is the rotation by +angle:
     shift(e_cos) = cos*e_cos + sin*e_sin, shift(e_sin) = -sin*e_cos + cos*e_sin.
+    All rotation blocks are taken at once.  Each residual row's norm is
+    sqrt(r.dot(r)), as np.linalg.norm takes it for a 1-D array; a norm along
+    an axis would sum in another order and move the last digits.
     """
     v = basis.vectors
     shifted = np.roll(v, 1, axis=1)
+    first = _first_rotation_row(basis.n)
+    fixed, rotations = basis.blocks[:first], basis.blocks[first:]
+    cos_rows, sin_rows = v[first::2], v[first + 1::2]
+    c = np.array([[math.cos(b.angle)] for b in rotations])
+    s = np.array([[math.sin(b.angle)] for b in rotations])
+    cos_residual = shifted[first::2] - (c * cos_rows + s * sin_rows)
+    sin_residual = shifted[first + 1::2] - (-s * cos_rows + c * sin_rows)
     out = {}
-    for b in basis.blocks:
-        if isinstance(b, Fixed):
-            r = np.linalg.norm(shifted[b.index] - b.eigenvalue * v[b.index])
-        else:
-            i, j = b.indices
-            c, s = math.cos(b.angle), math.sin(b.angle)
-            r = max(
-                np.linalg.norm(shifted[i] - (c * v[i] + s * v[j])),
-                np.linalg.norm(shifted[j] - (-s * v[i] + c * v[j])),
-            )
-        out[b.k] = float(r)
+    for b in fixed:
+        r = shifted[b.index] - b.eigenvalue * v[b.index]
+        out[b.k] = math.sqrt(r.dot(r))
+    for b, rc, rs in zip(rotations, cos_residual, sin_residual):
+        out[b.k] = max(math.sqrt(rc.dot(rc)), math.sqrt(rs.dot(rs)))
     return out
 
 
@@ -148,13 +170,13 @@ def canonical_form(y, basis: CyclicBasis) -> float:
     yv = as_samples(y)
     if yv.size != basis.n:
         raise DimensionMismatch(f"coordinate vector has length {yv.size}, basis has n={basis.n}")
-    terms = []
-    for b in basis.blocks:
-        if isinstance(b, Fixed):
-            terms.append(b.eigenvalue * yv[b.index] ** 2)
-        else:
-            i, j = b.indices
-            terms.append(math.cos(b.angle) * (yv[i] ** 2 + yv[j] ** 2))
+    # Python's y ** 2 is the C library's pow(y, 2.0), which rounds differently
+    # from numpy's y * y for about 1 value in 1000 (glibc); the form keeps pow's bits.
+    squares = np.array([t ** 2 for t in yv.tolist()])
+    first = _first_rotation_row(basis.n)
+    cosines = np.array([math.cos(b.angle) for b in basis.blocks[first:]])
+    terms = [squares[0]] if first == 1 else [squares[0], -squares[1]]
+    terms += (cosines * (squares[first::2] + squares[first + 1::2])).tolist()
     return math.fsum(terms)
 
 

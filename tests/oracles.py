@@ -6,8 +6,9 @@ agreement is a genuine cross-check and not a tautology.  The exceptions are
 the routes the library computed by before it took a faster one (interpolant
 inner products for Fourier coefficients, numpy dot products for trig
 polynomials, one vector at a time for `verify`, one basis vector and a
-rebuilt block layout at a time for the spectral kernels): they are kept here
-as the reference the fast route must match.
+rebuilt block layout at a time for the spectral kernels, one block at a time
+for the basis, one math.fsum per row for the random rows): they are kept
+here as the reference the fast route must match.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 
 from wirtinger import (
     Fixed,
+    Rotation,
     aligned_harmonics,
     basis_norm,
     block_layout,
@@ -137,6 +139,23 @@ def action_residuals_per_vector(basis) -> dict:
     return out
 
 
+def basis_vectors_per_block(n: int) -> np.ndarray:
+    """The shift-adapted basis as an n x n array, filled one rotation block
+    at a time."""
+    j = np.arange(n)
+    vectors = np.empty((n, n))
+    vectors[0] = 1.0 / math.sqrt(n)
+    if n % 2 == 0:
+        vectors[1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+    amplitude = math.sqrt(2.0 / n)
+    for b in block_layout(n):
+        if isinstance(b, Rotation):
+            angles = (TWO_PI / n) * ((j * b.k) % n)
+            vectors[b.indices[0]] = amplitude * np.cos(angles)
+            vectors[b.indices[1]] = amplitude * np.sin(angles)
+    return vectors
+
+
 def canonical_form_from_layout(y, n: int) -> float:
     """The diagonal correlation form of coordinates y, with the blocks
     rebuilt by block_layout(n) on every call."""
@@ -160,6 +179,20 @@ def random_unit_zero_mean_per_vector(n: int, rng) -> np.ndarray:
         norm = math.sqrt(fdot(v, v))
         if norm > 1e-8:
             return v / norm
+
+
+def random_unit_zero_mean_rows_per_row(n: int, m: int, rng) -> np.ndarray:
+    """random_unit_zero_mean_rows with one math.fsum per row for the means and
+    the squared norms."""
+    xs = rng.standard_normal((m, n))
+    xs -= np.array([math.fsum(v.tolist()) for v in xs])[:, None] / n
+    norms = np.sqrt([math.fsum(v.tolist()) for v in np.square(xs)])
+    keep = norms > 1e-8
+    if keep.all():
+        xs /= norms[:, None]
+        return xs
+    kept = xs[keep] / norms[keep, None]
+    return np.concatenate([kept, random_unit_zero_mean_rows_per_row(n, m - len(kept), rng)])
 
 
 def verify_residuals_per_vector(ns, seed: int) -> dict:

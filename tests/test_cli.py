@@ -76,17 +76,20 @@ def test_library_size_errors_are_usage_errors(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify"],
-    ["maximize"],
-    ["sweep", "--fn", "sin1"],
-    ["fourier", "--fn", "sin1"],
+    ["verify", "--n", "4..1000000000000"],
+    ["maximize", "--n", "4..1000000000000"],
+    ["sweep", "--fn", "sin1", "--n", "4..1000000000000"],
+    ["fourier", "--fn", "sin1", "--n", "4..1000000000000"],
+    ["verify", "--n=-1000000000000..5"],
+    ["maximize", "--n=-100000000..5"],
+    ["bounds", "--n", "4..1000000000000"],
 ])
 def test_size_cap_checked_before_the_sizes_are_built(argv, tmp_path, capsys):
-    """A range far past the cap is refused from its end alone, without first
-    building its 10^12 sizes."""
+    """A range far past a cap, or starting far below n = 4, is refused from its
+    ends and length alone, without first building its sizes."""
     out = tmp_path / "never.csv"
     start = time.perf_counter()
-    assert main([*argv, "--n", "4..1000000000000", "--out", str(out)]) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""

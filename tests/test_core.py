@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from wirtinger import (
     shift,
     shift_matrix,
 )
-from wirtinger.core import fdot
+from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, fdot, fsum_rows
 
 REL_TOL = 1e-13
 
@@ -116,3 +117,76 @@ def test_center_normalize_postconditions_at_scale():
         out = center_normalize(rng.standard_normal(n) * 100 + 7)
         assert abs(float(np.sum(out))) <= 1e-14 * max(1.0, np.abs(out).max()) * n
         assert abs(fdot(out, out) - 1.0) <= 1e-13
+
+
+def _fsum_outcome(f, x):
+    """The bytes of f(x), or the type and message of what it raises."""
+    try:
+        return f(x).tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _fsum_each_row(x) -> np.ndarray:
+    return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
+
+
+def _assert_fsum_rows_bits_on_both_routes(rows):
+    """fsum_rows gives math.fsum's bits, or raises as it does, on `rows` as
+    given and padded with random rows past the whole-array threshold.
+    Returns math.fsum's outcome on `rows`."""
+    rows = np.asarray(rows, dtype=float)
+    padding = -(-FSUM_ROWS_MIN_ENTRIES // rows.shape[1])
+    filler = np.random.default_rng(rows.shape[1]).standard_normal((padding, rows.shape[1]))
+    for x in (rows, np.concatenate([filler, rows, filler])):
+        assert _fsum_outcome(fsum_rows, x) == _fsum_outcome(_fsum_each_row, x)
+    return _fsum_outcome(_fsum_each_row, rows)
+
+
+TINY = 2.0**-1074
+MAX = sys.float_info.max
+INF = math.inf
+
+
+@pytest.mark.parametrize("rows, raises", [
+    ([[1.0, 2.0**-53, 0.0]], None),  # half-ulp tie, rounds down to even
+    ([[1.0 + 2.0**-52, 2.0**-53, 0.0]], None),  # half-ulp tie, rounds up to even
+    ([[2.0**53, 1.0, 0.0], [2.0**53, 3.0, 0.0], [-(2.0**53), -1.0, 2.0**-60]], None),
+    ([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, -1.0, -0.0]], None),
+    ([[TINY, TINY, TINY], [-TINY, 2.0**-1022, TINY], [2.0**-1022, -(2.0**-1023), -TINY]], None),
+    ([[INF, 1.0, 2.0], [1.0, 2.0, 3.0], [-INF, -INF, 1.0]], None),
+    ([[1.0, 2.0, 3.0], [math.nan, 1.0, 2.0], [INF, math.nan, 1.0]], None),
+    ([[1.0, 2.0, 3.0], [INF, -INF, 1.0], [math.nan, 0.0, 0.0]], ValueError),
+    ([[1.0, 2.0, 3.0], [1e308, 1e308, -1e308]], OverflowError),
+    ([[MAX, -MAX, MAX / 16], [MAX / 4, MAX / 4, -MAX / 4]], None),
+])
+def test_fsum_rows_pinned_cases(rows, raises):
+    outcome = _assert_fsum_rows_bits_on_both_routes(rows)
+    assert (outcome[0] if isinstance(outcome, tuple) else None) is raises
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 120),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["normal", "squared", "centered", "integers"]),
+    exponent=st.integers(-8, 8) | st.integers(-1100, 1030),  # unit scale, or any scale
+    specials=st.lists(st.tuples(st.integers(0, 10**6), st.floats()), max_size=4),
+)
+def test_fsum_rows_matches_math_fsum_bits(m, n, seed, kind, exponent, specials):
+    """Each row has math.fsum's bits, or raises as math.fsum does, on both
+    sides of the whole-array threshold, at any n and any scale."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, n))
+    if kind == "squared":
+        x = x * x
+    elif kind == "centered":
+        x -= x.mean(axis=1, keepdims=True)
+    elif kind == "integers":  # sums with many exact half-ulp ties
+        x = rng.integers(-(2**54), 2**54, (m, n)).astype(float)
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.ldexp(x, exponent)
+    for position, value in specials:
+        x.flat[position % x.size] = value
+    assert _fsum_outcome(fsum_rows, x) == _fsum_outcome(_fsum_each_row, x)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import harmonic_span_residual, random_unit_zero_mean_per_vector
+from oracles import (
+    harmonic_span_residual,
+    random_unit_zero_mean_per_vector,
+    random_unit_zero_mean_rows_per_row,
+)
 
 from wirtinger import (
     ConstraintViolation,
@@ -140,6 +144,20 @@ def test_rows_match_sequential_draws(n, m):
     assert rng_rows.standard_normal(3).tobytes() == rng_seq.standard_normal(3).tobytes()
     assert random_unit_zero_mean(n, rng_rows).tobytes() == random_unit_zero_mean_per_vector(
         n, rng_seq).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 5, 200])
+def test_rows_match_per_row_fsum_bits(m):
+    """The whole-array row sums give the rows, and the stream position, of one
+    math.fsum per row."""
+    for n in (*range(4, 161), 257, 512, 1024):
+        for seed in (0, 1):
+            rng_rows = np.random.default_rng([seed, n, m])
+            rng_ref = np.random.default_rng([seed, n, m])
+            rows = random_unit_zero_mean_rows(n, m, rng_rows)
+            ref = random_unit_zero_mean_rows_per_row(n, m, rng_ref)
+            assert rows.tobytes() == ref.tobytes(), (n, seed)
+            assert rng_rows.standard_normal(2).tobytes() == rng_ref.standard_normal(2).tobytes()
 
 
 class RowQueue:

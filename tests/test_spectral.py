@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import (
     action_residuals_per_vector,
+    basis_vectors_per_block,
     canonical_form_from_layout,
     lstsq_projection_sq,
 )
@@ -37,8 +38,9 @@ from wirtinger.spectral import (
 GRAM_TOL = 1e-12
 ACTION_TOL = 1e-12
 EQUIV_REL_TOL = 1e-11
-# sizes on which the one-roll kernels must give the per-vector reference's bits
-BIT_SIZES = (*range(4, 71), 128, 257, 512)
+# sizes on which the whole-array kernels must give the per-vector and
+# per-block references' bits
+BIT_SIZES = (*range(4, 161), 257, 512, 1024)
 
 
 def gram_residual(basis) -> float:
@@ -108,9 +110,16 @@ def test_action_rotates_by_plus_angle(n):
     assert all(r <= ACTION_TOL for r in residuals.values())
 
 
+def test_build_basis_matches_per_block_bits():
+    """Filling every rotation row at once gives the bits of one block at a time."""
+    for n in BIT_SIZES:
+        assert build_basis(n).vectors.tobytes() == basis_vectors_per_block(n).tobytes(), n
+
+
 def test_action_residuals_match_per_vector_rolls_bits():
-    """One roll of the whole basis gives every block's residual the same bits
-    as rolling each basis vector on its own."""
+    """One roll of the whole basis, with all rotation blocks taken at once,
+    gives every block's residual the same bits as rolling each basis vector
+    on its own."""
     for n in BIT_SIZES:
         basis = build_basis(n)
         assert action_residuals(basis) == action_residuals_per_vector(basis), n
