@@ -6,7 +6,7 @@ For mean-zero unit vectors x of length n, the cyclic correlation
 sum(x[j] * x[j-1]) never exceeds cos(2*pi/n), and the bound is attained
 exactly by samples of a single harmonic.  This script pokes at that
 claim from three sides: random search, the closed-form extremizer, and
-a dense eigensolver.
+an eigensolver on the odd vectors.
 """
 
 import numpy as np

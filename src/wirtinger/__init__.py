@@ -31,7 +31,6 @@ from .core import (
     constraint_status,
     cyclic_correlation,
     shift,
-    shift_matrix,
 )
 from .errors import (
     BlockOutOfRange,
@@ -134,7 +133,6 @@ __all__ = [
     "rayleigh_sweep",
     "sample",
     "shift",
-    "shift_matrix",
     "tail_energy",
     "verify_action",
 ]

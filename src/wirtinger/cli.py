@@ -169,6 +169,10 @@ def _make_config(args) -> argparse.Namespace:
     # fail fast: oracle_max would raise only after every smaller n had run
     if cmd in ("verify", "maximize") and largest > ORACLE_MAX_N:
         raise ConfigError(f"{cmd} capped at n <= {ORACLE_MAX_N} (eigensolver range)")
+    if args.out and os.path.isdir(args.out):  # writing would fail only after all the work
+        raise ConfigError(f"--out {args.out!r} is a directory")
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ConfigError(f"--out {args.out!r} is in a directory that does not exist")
     if isinstance(ns, range):
         _require_size(ns[0])
         args.ns = ns
@@ -333,7 +337,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(_make_config(args))
-    except (ConfigError, InvalidSize) as exc:
+    except (ConfigError, InvalidSize, OSError) as exc:  # OSError: writing the output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceFailure, QuadratureFailure, NonFinite,

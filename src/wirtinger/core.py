@@ -127,13 +127,6 @@ def shift(x) -> np.ndarray:
     return np.roll(as_samples(x), 1)
 
 
-def shift_matrix(n: int) -> np.ndarray:
-    """Dense n x n matrix of the cyclic shift (row j has a 1 in column j-1)."""
-    a = np.zeros((n, n))
-    a[np.arange(n), np.arange(-1, n - 1)] = 1.0
-    return a
-
-
 def cyclic_correlation(x) -> float:
     """Sum of x_j * x_{j-1} around the cycle, i.e. <X, shift(X)>."""
     v = as_samples(x)

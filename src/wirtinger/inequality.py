@@ -20,7 +20,6 @@ from .core import (
     cyclic_correlation,
     fdot,
     fsum_rows,
-    shift_matrix,
 )
 from .errors import ConstraintViolation, ConvergenceFailure, InvalidSize
 from .spectral import aligned_harmonics
@@ -29,7 +28,7 @@ from .spectral import aligned_harmonics
 CONSTRAINT_TOL = 1e-10
 # Slack below this magnitude counts as equality.
 SLACK_TOL = 1e-12
-# Largest n the dense eigensolver oracle accepts.
+# Largest n the eigensolver oracle accepts.
 ORACLE_MAX_N = 512
 EPS = sys.float_info.epsilon
 
@@ -101,28 +100,34 @@ class OracleResult(NamedTuple):
 
 
 def oracle_max(n: int) -> OracleResult:
-    """Maximum of the correlation form on the mean-zero unit sphere, by eigensolver.
+    """Maximum of the correlation form <x, Sx> on the mean-zero unit sphere, by eigensolver.
 
-    Builds the symmetrized shift matrix S = (A + A^T)/2, deflates the
-    all-ones direction by a spectral shift, and returns the top eigenpair of
-    the deflated matrix.  Entirely independent of the closed-form basis, so
-    agreement with discrete_bound is a genuine cross-check.  The top
-    eigenspace is a two-dimensional plane; the returned vector is one unit
-    vector in it.
+    S = (A + A^T)/2 for the cyclic shift A.  The reflection R: x[j] -> x[-j mod n] has
+    RSR = S, and S commutes with A and A^T, so the top eigenspace E of S on mean-zero
+    vectors is invariant under A, A^T and R.  For an even x in E, (A - A^T)x is odd and
+    lies in E; it is zero only when A^2 x = x, which on mean-zero vectors leaves only
+    the alternating vector, of eigenvalue -1.  The mean-zero spectrum has trace -1, so
+    its top is at least -1/(n-1) > -1.  So E holds an odd vector, and the maximum is the
+    top eigenvalue of S on the odd vectors (e_j - e_{-j})/sqrt2, j = 1..m = (n-1)//2.
+    There S is the m x m tridiagonal T with zero diagonal and 1/2 off it, plus
+    T[m-1, m-1] = -1/2 for odd n, where e_m and e_{-m} are neighbours.  No cosine is
+    used, so agreement with discrete_bound is a genuine cross-check.  T's top
+    eigenvector w gives the argmax x[j] = w[j-1]/sqrt2 = -x[n-j], j = 1..m, 0 elsewhere.
     """
     _require_size(n)
     if n > ORACLE_MAX_N:
-        raise InvalidSize(f"dense oracle limited to n <= {ORACLE_MAX_N}, got {n}")
-    a = shift_matrix(n)
-    # S fixes the all-ones vector, so subtracting 3/n from every entry moves
-    # that direction from eigenvalue 1 to -2, below the rest of the spectrum
-    deflated = 0.5 * (a + a.T) - 3.0 / n
-    values, vectors = np.linalg.eigh(deflated)
-    value, vec = float(values[-1]), vectors[:, -1]
-    residual = float(np.linalg.norm(deflated @ vec - value * vec))
+        raise InvalidSize(f"eigensolver oracle limited to n <= {ORACLE_MAX_N}, got {n}")
+    m = (n - 1) // 2
+    t = 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
+    if n % 2:
+        t[m - 1, m - 1] = -0.5
+    values, vectors = np.linalg.eigh(t)
+    value, w = float(values[-1]), vectors[:, -1]
+    residual = float(np.linalg.norm(t @ w - value * w))
     if residual > 1e-12:
         raise ConvergenceFailure(f"eigensolver residual {residual:.3e} exceeds 1e-12")
-    return OracleResult(value=value, argmax=vec)
+    argmax = np.concatenate(([0.0], w, [0.0] * (1 - n % 2), -w[::-1])) / math.sqrt(2.0)
+    return OracleResult(value=value, argmax=argmax)
 
 
 def extremal_span_residual(x) -> float:

@@ -7,8 +7,10 @@ the routes the library computed by before it took a faster one (interpolant
 inner products for Fourier coefficients, numpy dot products for trig
 polynomials, one vector at a time for `verify`, one basis vector and a
 rebuilt block layout at a time for the spectral kernels, one block at a time
-for the basis, one math.fsum per row for the random rows): they are kept
-here as the reference the fast route must match.
+for the basis, one math.fsum per row for the random rows, the dense shift
+matrix `shift_matrix` and the deflated n x n eigensolver `oracle_max_dense`
+for the oracle): they are kept here as the reference the fast route must
+match.
 """
 
 import math
@@ -16,7 +18,9 @@ import math
 import numpy as np
 
 from wirtinger import (
+    ConvergenceFailure,
     Fixed,
+    OracleResult,
     Rotation,
     aligned_harmonics,
     basis_norm,
@@ -193,6 +197,29 @@ def random_unit_zero_mean_rows_per_row(n: int, m: int, rng) -> np.ndarray:
         return xs
     kept = xs[keep] / norms[keep, None]
     return np.concatenate([kept, random_unit_zero_mean_rows_per_row(n, m - len(kept), rng)])
+
+
+def shift_matrix(n: int) -> np.ndarray:
+    """Dense n x n matrix of the cyclic shift (row j has a 1 in column j-1)."""
+    a = np.zeros((n, n))
+    a[np.arange(n), np.arange(-1, n - 1)] = 1.0
+    return a
+
+
+def oracle_max_dense(n: int) -> OracleResult:
+    """The top eigenpair of the n x n symmetrized shift S = (A + A^T)/2 on the
+    mean-zero vectors, with the all-ones direction deflated by a spectral
+    shift."""
+    a = shift_matrix(n)
+    # S fixes the all-ones vector, so subtracting 3/n from every entry moves
+    # that direction from eigenvalue 1 to -2, below the rest of the spectrum
+    deflated = 0.5 * (a + a.T) - 3.0 / n
+    values, vectors = np.linalg.eigh(deflated)
+    value, vec = float(values[-1]), vectors[:, -1]
+    residual = float(np.linalg.norm(deflated @ vec - value * vec))
+    if residual > 1e-12:
+        raise ConvergenceFailure(f"eigensolver residual {residual:.3e} exceeds 1e-12")
+    return OracleResult(value=value, argmax=vec)
 
 
 def verify_residuals_per_vector(ns, seed: int) -> dict:

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from oracles import verify_residuals_per_vector
@@ -94,6 +97,32 @@ def test_size_cap_checked_before_the_sizes_are_built(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["verify", "--n", "4..512"]])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_a_usage_error_before_any_work(argv, where, tmp_path, capsys):
+    """An --out in a missing directory, or naming a directory, exits 2 before
+    the work that would otherwise run first, and leaves no temp file."""
+    out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not os.listdir(tmp_path)
+
+
+def test_failed_write_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """An OSError while writing --out exits 2 with its message and removes the temp file."""
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["bounds", "--n", "4..8", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
     assert not os.listdir(tmp_path)
 
 
@@ -318,3 +347,57 @@ def test_usage_errors_exit_2():
 
 def test_fourier_honours_tol():
     assert main(["fourier", "--fn", "sin1", "--n", "257", "--tol", "1e-300"]) == 1
+
+
+# Runs every subcommand through cli.main in a fresh interpreter and prints, per
+# command, its stdout and the bytes it wrote to --out, as one JSON object.
+_ALL_COMMANDS_CHILD = """
+import contextlib, io, json, os, sys, tempfile
+from wirtinger.cli import main
+commands = [
+    ["verify", "--n", "145..160", "--format", "jsonl"],
+    ["maximize", "--n", "145..160"],
+    ["bounds", "--n", "4..64"],
+    ["sweep", "--fn", "mix13", "--n", "8,64,4096"],
+    ["fourier", "--fn", "mix13", "--n", "257"],
+]
+result = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in commands:
+        out = os.path.join(tmp, argv[0])
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = main([*argv, "--out", out])
+        with open(out, newline="") as fh:
+            result[argv[0]] = {"rc": rc, "stdout": stdout.getvalue(), "out": fh.read()}
+json.dump(result, sys.stdout)
+"""
+
+
+def _cpus_available() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_cpus_available() < 2, reason="OpenBLAS caps its threads at the CPU "
+                    "count, so with fewer than 2 CPUs both runs would use one thread")
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    """Every subcommand prints and writes the same bytes under 1 and 2 OpenBLAS
+    threads; only sweep's elapsed_ms column, a wall-clock time, is left out."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _ALL_COMMANDS_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        sweep = result["sweep"]["out"].splitlines()
+        assert sweep[0].endswith(",elapsed_ms")
+        result["sweep"]["out"] = [line.rsplit(",", 1)[0] for line in sweep]
+        runs.append(result)
+    assert all(r["rc"] == 0 for r in runs[0].values())
+    assert [c for c in runs[0] if runs[0][c] != runs[1][c]] == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import shift_matrix
 
 from wirtinger import (
     ConstraintStatus,
@@ -14,7 +15,6 @@ from wirtinger import (
     constraint_status,
     cyclic_correlation,
     shift,
-    shift_matrix,
 )
 from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, fdot, fsum_rows
 

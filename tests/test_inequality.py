@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     harmonic_span_residual,
+    oracle_max_dense,
     random_unit_zero_mean_per_vector,
     random_unit_zero_mean_rows_per_row,
 )
@@ -284,12 +285,25 @@ def test_oracle_max_values():
 
 
 def test_oracle_max_argmax_is_extremal():
-    for n in (4, 9, 64):
+    for n in (4, 5, 9, 64, 145, 512):
         _, argmax = oracle_max(n)
         assert float(argmax @ argmax) == pytest.approx(1.0, abs=1e-12)
         assert extremal_span_residual(argmax) <= 1e-8
         # independent least-squares check of the same membership claim
         assert harmonic_span_residual(argmax) <= 1e-8
+        # the argmax is built on the odd vectors, so it is odd to the bit
+        assert argmax[0] == 0.0
+        assert np.array_equal(argmax[:0:-1], -argmax[1:])
+
+
+def test_oracle_max_matches_dense_eigensolver():
+    """The odd-vector oracle agrees with the deflated n x n eigensolver within
+    the 16 eps budget of the mpmath test, and both argmaxes are first harmonics."""
+    for n in range(4, 129):
+        fast, dense = oracle_max(n), oracle_max_dense(n)
+        assert abs(fast.value - dense.value) <= 16 * 2.0**-52, n
+        assert harmonic_span_residual(fast.argmax) <= 1e-8, n
+        assert harmonic_span_residual(dense.argmax) <= 1e-8, n
 
 
 def test_oracle_max_matches_mpmath_cos():

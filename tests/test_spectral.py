@@ -11,6 +11,7 @@ from oracles import (
     basis_vectors_per_block,
     canonical_form_from_layout,
     lstsq_projection_sq,
+    shift_matrix,
 )
 
 from wirtinger import (
@@ -23,7 +24,6 @@ from wirtinger import (
     cyclic_correlation,
     project,
     shift,
-    shift_matrix,
     verify_action,
 )
 from wirtinger.spectral import (
