@@ -33,15 +33,13 @@ class PiecewiseLinear:
 
     knots: np.ndarray
     _grid: np.ndarray = field(init=False, repr=False)
-    _grid_list: list = field(init=False, repr=False)
 
     def __post_init__(self):
         k = as_samples(self.knots)
         _require_size(k.size)
         object.__setattr__(self, "knots", k)
-        # grid[m] holds the value at t = 2*pi*m/n, so grid[0] = x_n
-        object.__setattr__(self, "_grid", np.roll(k, 1))
-        object.__setattr__(self, "_grid_list", self._grid.tolist())
+        # grid[m] holds the value at t = 2*pi*m/n, so grid[0] = grid[n] = x_n
+        object.__setattr__(self, "_grid", np.concatenate((k[-1:], k)))
 
     @property
     def n(self) -> int:
@@ -50,36 +48,19 @@ class PiecewiseLinear:
     def __call__(self, t):
         """Evaluate at t (scalar or array); t is reduced modulo 2*pi.
 
-        A Python float is evaluated in plain Python by the same IEEE
-        operations, in the same order, as the array path, so both return the
-        same bits.  A non-finite t gives NaN, without a warning.
+        A scalar t gives a Python float.  A non-finite t gives NaN, without
+        a warning.
         """
-        if type(t) is float:
-            grid = self._grid_list
-            n = len(grid)
-            u = (t % TWO_PI) * (n / TWO_PI)
-            if math.isfinite(u):
-                nearest = round(u)
-                if abs(u - nearest) <= KNOT_SNAP_ULPS * max(1.0, u):
-                    left, frac = nearest % n, 0.0
-                else:
-                    left = math.floor(u)
-                    frac = u - left
-                    left %= n
-                # not `return lo` when snapped: lo + 0.0*(hi - lo) turns a
-                # -0.0 knot into +0.0 when hi >= lo, as the array path does
-                lo = grid[left]
-                return lo + frac * (grid[(left + 1) % n] - lo)
         with np.errstate(invalid="ignore"):
             tt = np.asarray(t, dtype=float)
             u = (tt % TWO_PI) * (self.n / TWO_PI)
-            nearest = np.round(u)
+            nearest = np.rint(u)
+            below = np.floor(u)
             snapped = np.abs(u - nearest) <= KNOT_SNAP_ULPS * np.maximum(1.0, u)
-            left = np.where(snapped, nearest, np.floor(u)).astype(int) % self.n
-            frac = np.where(snapped, 0.0, u - np.floor(u))
+            left = np.where(snapped, nearest, below).astype(int) % self.n
+            frac = np.where(snapped, 0.0, u - below)
         lo = self._grid[left]
-        hi = self._grid[(left + 1) % self.n]
-        out = lo + frac * (hi - lo)
+        out = lo + frac * (self._grid[left + 1] - lo)
         return float(out) if out.ndim == 0 else out
 
 

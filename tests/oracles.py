@@ -9,7 +9,9 @@ polynomials, one vector at a time for `verify`, one basis vector and a
 rebuilt block layout at a time for the spectral kernels, one block at a time
 for the basis, one math.fsum per row for the random rows, the dense shift
 matrix `shift_matrix` and the deflated n x n eigensolver `oracle_max_dense`
-for the oracle): they are kept here as the reference the fast route must
+for the oracle, depth-first recursion with one integrand call per point for
+adaptive Simpson, and a math.cos/math.sin loop per point for trigonometric
+polynomials): they are kept here as the reference the fast route must
 match.
 """
 
@@ -21,6 +23,7 @@ from wirtinger import (
     ConvergenceFailure,
     Fixed,
     OracleResult,
+    QuadratureFailure,
     Rotation,
     aligned_harmonics,
     basis_norm,
@@ -36,6 +39,7 @@ from wirtinger import (
     verify_action,
 )
 from wirtinger.core import fdot, fsum
+from wirtinger.quadrature import MAX_DEPTH, MIN_DEPTH
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,6 +110,63 @@ def fourier_interpolant(x, jmax: int) -> list:
         scale = (2.0 / n) / basis_norm(n, j)
         coeffs.append((j, scale * inner_product(x, cos_ref), scale * inner_product(x, sin_ref)))
     return coeffs
+
+
+def adaptive_simpson_recursive(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Adaptive Simpson by depth-first recursion, calling the scalar f once
+    per point; the rule and the order of the sums are the library's."""
+    if a == b:
+        return 0.0
+    if a > b:
+        return -adaptive_simpson_recursive(f, b, a, tol)
+
+    def simpson(fa, fm, fb, width):
+        return width / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
+        mid = 0.5 * (lo + hi)
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        flm = f(lm)
+        frm = f(rm)
+        left = simpson(flo, flm, fmid, mid - lo)
+        right = simpson(fmid, frm, fhi, hi - mid)
+        err = (left + right - whole) / 15.0
+        if depth >= MIN_DEPTH and abs(err) <= tol:
+            return left + right + err
+        if depth >= MAX_DEPTH:
+            raise QuadratureFailure(
+                f"tolerance {tol:.3e} unreachable on [{lo:.6g}, {hi:.6g}] at depth {depth}"
+            )
+        return recurse(lo, mid, flo, flm, fmid, left, 0.5 * tol, depth + 1) + recurse(
+            mid, hi, fmid, frm, fhi, right, 0.5 * tol, depth + 1
+        )
+
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    return recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, 0)
+
+
+def trig_polynomial_loop(terms):
+    """t -> sum a*cos(j t) + b*sin(j t) over (j, a, b), for a float t, with
+    math.cos and math.sin, the terms added in order to a total from +0.0."""
+
+    def value(t: float) -> float:
+        total = 0.0
+        for j, a, b in terms:
+            total += a * math.cos(j * t) + b * math.sin(j * t)
+        return total
+
+    return value
+
+
+def period_integral_per_point(g, tol: float, pieces: int) -> float:
+    """Integral of the scalar g over [0, 2*pi] as `pieces` equal pieces,
+    each by the recursion to tol/pieces, summed with math.fsum."""
+    edges = [TWO_PI * i / pieces for i in range(pieces + 1)]
+    return math.fsum(adaptive_simpson_recursive(g, lo, hi, tol / pieces)
+                     for lo, hi in zip(edges, edges[1:]))
 
 
 def trig_polynomial_dot(terms):

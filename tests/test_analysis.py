@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import fourier_interpolant, trig_polynomial_dot
+from oracles import (
+    fourier_interpolant,
+    period_integral_per_point,
+    trig_polynomial_dot,
+    trig_polynomial_loop,
+)
 
 from wirtinger import (
     FUNCTION_NAMES,
@@ -13,6 +18,7 @@ from wirtinger import (
     InvalidSize,
     NonFinite,
     PeriodicFunction,
+    QuadratureFailure,
     RangeError,
     adaptive_simpson,
     block_energies,
@@ -26,7 +32,7 @@ from wirtinger import (
     sample,
     tail_energy,
 )
-from wirtinger.analysis import _period_integral
+from wirtinger.analysis import PERIOD_PIECES, _period_integral
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -36,7 +42,7 @@ BESSEL_I0_1 = 1.2660658777520084
 
 
 def expsin_centered() -> PeriodicFunction:
-    return PeriodicFunction(value=lambda t: math.exp(math.sin(t)) - BESSEL_I0_1, label="expsin0")
+    return PeriodicFunction(value=lambda t: np.exp(np.sin(t)) - BESSEL_I0_1, label="expsin0")
 
 
 class TestPeriodicFunctionProbes:
@@ -52,20 +58,20 @@ class TestPeriodicFunctionProbes:
         with pytest.raises(ValueError, match="periodic"):
             PeriodicFunction(value=lambda t: t)
         with pytest.raises(ValueError, match="periodic"):
-            PeriodicFunction(value=lambda t: 1e8 * (math.sin(t) + t))
+            PeriodicFunction(value=lambda t: 1e8 * (np.sin(t) + t))
 
     def test_periodicity_tolerance_has_a_floor(self):
         """sin(17t) takes one value at the 17 probes 2*pi*(k + 0.31)/17, so this
         periodic bump is 0 at each of them, and a few 1e-15 one period later:
         a tolerance relative to the probed values alone would be 0 and reject
         it."""
-        PeriodicFunction(value=lambda t: max(0.0, math.sin(17 * t) - math.sin(0.62 * math.pi)))
+        PeriodicFunction(value=lambda t: np.maximum(0.0, np.sin(17 * t) - math.sin(0.62 * math.pi)))
 
     @pytest.mark.parametrize("amplitude", [1e-8, 1.0, 1e5, 1e8])
     def test_periodicity_tolerance_scales_with_the_values(self, amplitude):
         """sin(40t) evaluated at t + 2*pi moves by about 40 * ulp(2*pi) of
         its amplitude; an absolute tolerance of 1e-10 rejects that at 1e5."""
-        PeriodicFunction(value=lambda t: amplitude * math.sin(40 * t))
+        PeriodicFunction(value=lambda t: amplitude * np.sin(40 * t))
 
     def test_registry_values_are_the_closed_forms(self):
         """sin1, cos1, sin2 and mix13 are coefficient tuples; they evaluate
@@ -103,7 +109,7 @@ def test_sample_size_gate():
 
 def test_sample_non_finite():
     bad = PeriodicFunction(
-        value=lambda t: math.inf if abs(t - math.pi / 2) < 1e-9 else math.sin(t), label="pole"
+        value=lambda t: np.where(np.abs(t - math.pi / 2) < 1e-9, math.inf, np.sin(t)), label="pole"
     )
     with pytest.raises(NonFinite):
         sample(bad, 4)  # t_1 = pi/2 hits the pole
@@ -383,14 +389,14 @@ def test_period_integral_does_not_alias(j):
     335 a piece ending at the golden-ratio point of the period sees a slow
     alias of sin^2(jt) that does not integrate to its mean.  j = 127 is the
     control."""
-    got = _period_integral(lambda t: math.sin(j * t) ** 2, 1e-10)
+    got = _period_integral(lambda t: np.sin(j * t) ** 2, 1e-10)
     assert got == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_period_integral_of_a_near_alias():
     """cos(400t)cos(14t) has the harmonics 386 and 414; each aliases to an
     integer frequency on the pieces' nodes, and integrates to 0."""
-    got = _period_integral(lambda t: math.cos(400 * t) * math.cos(14 * t), 1e-10)
+    got = _period_integral(lambda t: np.cos(400 * t) * np.cos(14 * t), 1e-10)
     assert got == pytest.approx(0.0, abs=1e-10)
 
 
@@ -399,3 +405,85 @@ def test_fourier_table_coefficient_lookup():
     assert table.jmax == 2
     with pytest.raises(RangeError):
         table.coefficient(5)
+
+
+def _per_point(f: PeriodicFunction):
+    """f's value for one float t: the per-point series loop for a
+    trigonometric polynomial, else f.value itself, which then runs on floats."""
+    series = getattr(f.value, "__self__", None)
+    return trig_polynomial_loop(series.terms) if series is not None else f.value
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _mix(terms: dict) -> PeriodicFunction:
+    """harmonic_mix of {j: (a_j, b_j)}."""
+    flat = [0.0] * (2 * max(terms))
+    for j, (a, b) in terms.items():
+        flat[2 * j - 2 : 2 * j] = [a, b]
+    return harmonic_mix(flat)
+
+
+# the registry, and a seeded polynomial like the benchmark's --harmonics ones
+SAMPLED = [named_function(name) for name in FUNCTION_NAMES] + [
+    harmonic_mix(np.random.default_rng(7).uniform(-1.0, 1.0, 8).tolist())]
+
+
+@pytest.mark.parametrize("n", [4, 257, 4097, 65536])
+def test_sample_has_the_per_point_bits(n):
+    """Blocks of SAMPLE_BLOCK points (4097 and 65536 cross block edges) give
+    the bits of one float evaluation per point, zero signs included."""
+    for f in SAMPLED:
+        value = _per_point(f)
+        want = [value(TWO_PI * j / n) for j in range(1, n + 1)]
+        assert _bits(sample(f, n)) == _bits(want), f.label
+
+
+@pytest.mark.parametrize("f", SAMPLED, ids=lambda f: f.label[:12])
+def test_fourier_quadrature_has_the_per_point_bits(f):
+    """The array integrands, refined breadth-first, give the bits of the
+    per-point integrands with math.cos and math.sin, refined depth-first."""
+    value = _per_point(f)
+    jmax = 8
+    want = []
+    for j in range(1, jmax + 1):
+        a = period_integral_per_point(lambda t: value(t) * math.cos(j * t), 1e-10, PERIOD_PIECES)
+        b = period_integral_per_point(lambda t: value(t) * math.sin(j * t), 1e-10, PERIOD_PIECES)
+        want.append((j, a / math.pi, b / math.pi))
+    got = fourier_quadrature(f, jmax).coefficients
+    assert [_bits(c) for c in got] == [_bits(c) for c in want]
+
+
+@pytest.mark.parametrize("terms, j", [
+    ({1: (0.3, -1.2), 40: (0.0, 0.8)}, 40),
+    ({3: (0.5, 0.5), 128: (1.0, 0.0)}, 128),
+    ({207: (0.0, 1.0)}, 207),
+    ({2: (-0.25, 0.0), 512: (0.0, 1.0)}, 512),
+])
+def test_high_harmonic_integrands_have_the_per_point_bits(terms, j):
+    f = _mix(terms)
+    value = _per_point(f)
+    got = _period_integral(lambda t: f.value(t) * np.sin(j * t), 1e-10)
+    want = period_integral_per_point(lambda t: value(t) * math.sin(j * t), 1e-10, PERIOD_PIECES)
+    assert _bits([got]) == _bits([want])
+
+
+@pytest.mark.parametrize("amplitude", [1e6, 1e8])
+def test_fourier_quadrature_at_the_rounding_level_fails_by_budget(amplitude):
+    """At amplitude 1e6 the absolute tolerance 1e-10 is near the integrands'
+    rounding, and the error test passes about as often as it fails; the
+    evaluation budget ends the refinement, as MAX_DEPTH does at 1e8."""
+    with pytest.raises(QuadratureFailure, match="open intervals"):
+        fourier_quadrature(harmonic_mix([0.0, amplitude]), 3)
+
+
+@pytest.mark.parametrize("value", [
+    math.sin,
+    lambda t: 0.0 if t < math.pi else 1.0,
+    lambda t: max(0.0, math.sin(t)),
+])
+def test_scalar_only_value_is_a_type_error(value):
+    with pytest.raises(TypeError, match="1-D float array"):
+        PeriodicFunction(value=value)

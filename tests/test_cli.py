@@ -250,9 +250,21 @@ def test_sweep_at_the_harmonics_bound(capsys):
 def test_fourier_quadrature_fails_at_large_amplitude(harmonics, capsys):
     """The quadrature's tolerance is an absolute 1e-10.  An integrand of size
     1e8 rounds by about 1e-8, so the error estimate misses the tolerance at
-    every depth and an interval reaches the deepest level within a few
-    thousand evaluations: a numerical failure, not a traceback."""
+    every depth and the open intervals double until the evaluation budget
+    ends the refinement: a numerical failure, not a traceback."""
     assert main(["fourier", f"--harmonics={harmonics}", "--n", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+
+
+def test_fourier_quadrature_fails_fast_at_the_rounding_level(capsys):
+    """At amplitude 1e6 the tolerance 1e-10 sits at the integrands' rounding
+    level, where the error test passes about as often as it fails.  The
+    evaluation budget stops the widening frontier within a second or so."""
+    start = time.perf_counter()
+    assert main(["fourier", "--harmonics=0,1e6", "--n", "16"]) == 1
+    assert time.perf_counter() - start < 5.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: ")
