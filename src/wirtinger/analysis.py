@@ -19,7 +19,7 @@ from .pwl import energy_h1, energy_l2
 from .quadrature import _first_call, adaptive_simpson
 # build_basis is no longer called here; the binding stays because
 # bench/test_bench.py checks that the tracer rebinds it in this module
-from .spectral import block_energies, build_basis  # noqa: F401
+from .spectral import _block_energy_array, build_basis  # noqa: F401
 
 PROBE_POINTS = 17
 PERIODICITY_TOL = 1e-10
@@ -105,8 +105,7 @@ def tail_energy(f: PeriodicFunction, n: int) -> float:
 
 
 def _tail_of_samples(x: np.ndarray) -> float:
-    energies = block_energies(x)
-    return math.fsum(e for k, e in energies.items() if k >= 2) / x.size
+    return math.fsum(_block_energy_array(x)[2:].tolist()) / x.size
 
 
 @dataclass(frozen=True)
@@ -222,9 +221,8 @@ def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> Fo
 
 def _period_integral(g: Callable[[np.ndarray], np.ndarray], tol: float) -> float:
     """Integral of g over [0, 2*pi], in PERIOD_PIECES equal pieces, to absolute tol."""
-    edges = [TWO_PI * i / PERIOD_PIECES for i in range(PERIOD_PIECES + 1)]
-    return math.fsum(adaptive_simpson(g, lo, hi, tol=tol / PERIOD_PIECES)
-                     for lo, hi in zip(edges, edges[1:]))
+    edges = np.array([TWO_PI * i / PERIOD_PIECES for i in range(PERIOD_PIECES + 1)])
+    return math.fsum(adaptive_simpson(g, edges[:-1], edges[1:], tol=tol / PERIOD_PIECES).tolist())
 
 
 def _trig_polynomial(terms, label: str) -> PeriodicFunction:

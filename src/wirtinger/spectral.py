@@ -198,13 +198,18 @@ def block_energies(x) -> dict[int, float]:
     the constant block, |X_{n/2}|^2/n for the alternating one (n even) and
     2|X_k|^2/n on each rotation plane 1 <= k < n/2.
     """
+    return dict(enumerate(_block_energy_array(x).tolist()))
+
+
+def _block_energy_array(x) -> np.ndarray:
+    """block_energies' values as an array, indexed by the block label."""
     v = as_samples(x)
     n = v.size
     _require_size(n)
     spectrum = np.fft.rfft(v)
     energies = (spectrum.real**2 + spectrum.imag**2) / n
     energies[1 : (n + 1) // 2] *= 2.0
-    return dict(enumerate(energies.tolist()))
+    return energies
 
 
 def aligned_harmonics(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -477,6 +478,20 @@ def test_fourier_quadrature_at_the_rounding_level_fails_by_budget(amplitude):
     evaluation budget ends the refinement, as MAX_DEPTH does at 1e8."""
     with pytest.raises(QuadratureFailure, match="open intervals"):
         fourier_quadrature(harmonic_mix([0.0, amplitude]), 3)
+
+
+def test_fourier_quadrature_failing_by_budget_is_bounded_in_memory():
+    """The five pieces of the first integral exhaust their shared budget, and
+    each is redone alone until the first fails: the failed batch's frontier
+    is freed before the redo, so the peak is about one call's."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureFailure, match="open intervals"):
+            fourier_quadrature(harmonic_mix([0.0, 1e6]), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("value", [

@@ -141,6 +141,62 @@ def test_frontier_is_bounded_by_the_evaluation_budget():
 
 
 @pytest.mark.parametrize("f", [
+    lambda t: np.exp(np.sin(t)),
+    lambda t: np.abs(t - 1.0),
+])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_batch_has_the_bits_of_one_call_per_interval(f, tol):
+    """Random intervals with a < b, a == b and a > b in one frontier: each
+    entry has the bits of its own call, 0.0 and the negated reversed
+    integral included."""
+    rng = np.random.default_rng(21)
+    a, b = rng.uniform(-3.0, 3.0, (2, 12))
+    b[[1, 6]] = a[[1, 6]]
+    got = adaptive_simpson(f, a, b, tol=tol)
+    want = [adaptive_simpson(f, lo, hi, tol=tol) for lo, hi in zip(a.tolist(), b.tolist())]
+    assert (a > b).any() and (a < b).any()
+    assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want]
+
+
+def test_batch_over_the_budget_redoes_each_interval_alone():
+    """sin^2(600t) takes about 360,000 evaluations on each fifth of the
+    period: each piece passes alone, but the five together exceed the shared
+    EVAL_BUDGET, so each is redone in a frontier of its own."""
+    edges = TWO_PI * np.arange(6) / 5
+    sizes = []
+    got = adaptive_simpson(lambda t: sizes.append(t.size) or np.sin(600 * t) ** 2,
+                           edges[:-1], edges[1:], tol=2e-11)
+    # every depth evaluates an even count; 15 and 3 are the first calls
+    assert sizes[0] == 15 and sizes.count(3) == 5
+    want = [adaptive_simpson(lambda t: np.sin(600 * t) ** 2, lo, hi, tol=2e-11)
+            for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want]
+
+
+def test_batch_fails_with_the_message_of_its_first_failing_interval():
+    c = 0.5773502691
+    step = lambda t: np.where(t < c, 0.0, 1.0)
+    with pytest.raises(QuadratureFailure) as alone:
+        adaptive_simpson(step, 1.0, 0.0, tol=1e-13)
+    with pytest.raises(QuadratureFailure) as batch:
+        adaptive_simpson(step, np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.0, 1.0]), tol=1e-13)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_array_bounds_of_one_and_of_none():
+    assert _bits(adaptive_simpson(np.exp, np.array([0.0]), np.array([1.0]))[0]) == _bits(
+        adaptive_simpson(np.exp, 0.0, 1.0))
+    assert adaptive_simpson(np.exp, np.empty(0), np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("a, b", [(np.zeros(2), np.ones(3)), (np.zeros((2, 2)), np.ones((2, 2))),
+                                  (0.0, np.ones(2))])
+def test_bounds_of_other_shapes_are_a_value_error(a, b):
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        adaptive_simpson(np.exp, a, b)
+
+
+@pytest.mark.parametrize("f", [
     math.exp,
     lambda t: 0.0 if t < 0.5 else 1.0,
     lambda t: max(0.0, t - 0.5),
@@ -148,6 +204,10 @@ def test_frontier_is_bounded_by_the_evaluation_budget():
 def test_scalar_only_integrand_is_a_type_error(f):
     with pytest.raises(TypeError, match="1-D float array"):
         adaptive_simpson(f, 0.0, 1.0)
+    calls = []
+    with pytest.raises(TypeError, match="1-D float array"):
+        adaptive_simpson(lambda t: calls.append(t) or f(t), np.zeros(3), np.ones(3))
+    assert len(calls) == 1
 
 
 def test_integrand_of_another_shape_is_a_type_error():
