@@ -62,6 +62,6 @@ q = canonical_form(y, basis)
 print(f"correlation via samples        {cyclic_correlation(x):.15f}")
 print(f"correlation via canonical form {q:.15f}")
 
-# Parseval: block energies add up to |x|^2
+# Parseval: block energies add up to |x|^2; entry k is block k's energy
 energies = block_energies(x)
-print(f"sum of block energies - |x|^2  {sum(energies.values()) - x @ x:.3e}")
+print(f"sum of block energies - |x|^2  {sum(energies.tolist()) - x @ x:.3e}")

@@ -20,7 +20,7 @@ report = rayleigh_sweep(named_function("sin1"), sizes)
 print("f(t) = sin t: both energies converge to pi")
 print(f"{'n':>5} {'int L^2':>12} {'err':>10} {'ratio':>7} {'int L(prime)^2':>14} {'err':>10} {'ratio':>7}")
 prev_l2 = prev_h1 = None
-for row in report.rows:
+for row in report:
     e_l2 = abs(row.energy_l2 - PI)
     e_h1 = abs(row.energy_h1 - PI)
     r_l2 = f"{prev_l2 / e_l2:7.2f}" if prev_l2 else "      -"
@@ -32,7 +32,7 @@ print()
 
 # first-harmonic samples are exactly extremal at every n: slack 0, no tail
 print(f"{'n':>5} {'slack':>10} {'tail':>10}")
-for row in report.rows:
+for row in report:
     print(f"{row.n:5d} {row.slack:10.2e} {row.tail_energy:10.2e}")
 print()
 
@@ -41,6 +41,6 @@ print()
 report2 = rayleigh_sweep(named_function("sin2"), sizes)
 print("f(t) = sin 2t")
 print(f"{'n':>5} {'slack * n^2':>12} {'tail':>10}")
-for row in report2.rows:
+for row in report2:
     print(f"{row.n:5d} {row.slack * row.n**2:12.6f} {row.tail_energy:10.6f}")
 print(f"slack * n^2 tends to 6*pi^2 = {6 * PI**2:.6f}; tail locks at 1/2")

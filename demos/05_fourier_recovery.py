@@ -22,8 +22,8 @@ table_d = fourier_discrete(f, n, jmax)
 table_q = fourier_quadrature(f, jmax)
 print(f"{f.label}: interpolant route at n={n} vs adaptive quadrature")
 print(f"{'j':>3} {'a (interp)':>14} {'b (interp)':>14} {'|da|':>9} {'|db|':>9}")
-for j, a_d, b_d in table_d.coefficients:
-    _, a_q, b_q = table_q.coefficients[j - 1]
+for j, a_d, b_d in table_d:
+    _, a_q, b_q = table_q[j - 1]
     print(f"{j:3d} {a_d:14.10f} {b_d:14.10f} {abs(a_d - a_q):9.2e} {abs(b_d - b_q):9.2e}")
 print("exact for a trig polynomial below the aliasing threshold")
 print()
@@ -33,7 +33,7 @@ print()
 g = named_function("cubicodd")
 table = fourier_quadrature(g, 4, tol=1e-12)
 print(f"{g.label}: quadrature coefficients vs 12/(pi^3 j^3)")
-for j, a_j, b_j in table.coefficients:
+for j, a_j, b_j in table:
     exact = 12.0 / (np.pi**3 * j**3)
     print(f"  j={j}  a={a_j:+.2e}  b={b_j:.12f}  closed form {exact:.12f}")
 print()

@@ -11,8 +11,6 @@ coefficients in the large-n limit.
 
 from .analysis import (
     FUNCTION_NAMES,
-    ConvergenceReport,
-    FourierTable,
     PeriodicFunction,
     SweepRow,
     fourier_discrete,
@@ -25,10 +23,8 @@ from .analysis import (
     tail_energy,
 )
 from .core import (
-    ConstraintStatus,
     as_samples,
     center_normalize,
-    constraint_status,
     cyclic_correlation,
     shift,
 )
@@ -55,7 +51,6 @@ from .inequality import (
     max_violation,
     oracle_max,
     piecewise_bound,
-    random_unit_zero_mean,
     random_unit_zero_mean_rows,
 )
 from .pwl import PiecewiseLinear, basis_norm, energy_h1, energy_l2, inner_product
@@ -70,69 +65,7 @@ from .spectral import (
     build_basis,
     canonical_form,
     coordinates,
-    project,
     verify_action,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FUNCTION_NAMES",
-    "BlockOutOfRange",
-    "BoundComparison",
-    "ConstraintStatus",
-    "ConstraintViolation",
-    "ConvergenceFailure",
-    "ConvergenceReport",
-    "CyclicBasis",
-    "DegenerateVector",
-    "DimensionMismatch",
-    "Fixed",
-    "FourierTable",
-    "InequalityReport",
-    "InvalidSize",
-    "NonFinite",
-    "OracleResult",
-    "PeriodicFunction",
-    "PiecewiseLinear",
-    "QuadratureFailure",
-    "RangeError",
-    "Rotation",
-    "SweepRow",
-    "adaptive_simpson",
-    "aligned_harmonics",
-    "as_samples",
-    "basis_norm",
-    "block_energies",
-    "block_layout",
-    "bound_comparison",
-    "build_basis",
-    "canonical_form",
-    "center_normalize",
-    "check_inequality",
-    "constraint_status",
-    "coordinates",
-    "cyclic_correlation",
-    "discrete_bound",
-    "energy_h1",
-    "energy_l2",
-    "extremal_span_residual",
-    "extremal_vector",
-    "fourier_discrete",
-    "fourier_quadrature",
-    "harmonic_mix",
-    "inner_product",
-    "max_violation",
-    "named_function",
-    "oracle_max",
-    "partial_sum",
-    "piecewise_bound",
-    "project",
-    "random_unit_zero_mean",
-    "random_unit_zero_mean_rows",
-    "rayleigh_sweep",
-    "sample",
-    "shift",
-    "tail_energy",
-    "verify_action",
-]

@@ -9,7 +9,7 @@ block projections recover the Fourier coefficients of f.
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .pwl import energy_h1, energy_l2
 from .quadrature import _first_call, adaptive_simpson
 # build_basis is no longer called here; the binding stays because
 # bench/test_bench.py checks that the tracer rebinds it in this module
-from .spectral import _block_energy_array, build_basis  # noqa: F401
+from .spectral import block_energies, build_basis  # noqa: F401
 
 PROBE_POINTS = 17
 PERIODICITY_TOL = 1e-10
@@ -105,7 +105,7 @@ def tail_energy(f: PeriodicFunction, n: int) -> float:
 
 
 def _tail_of_samples(x: np.ndarray) -> float:
-    return math.fsum(_block_energy_array(x)[2:].tolist()) / x.size
+    return math.fsum(block_energies(x)[2:].tolist()) / x.size
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,9 @@ class SweepRow:
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    label: str
-    rows: tuple = field(default_factory=tuple)
-
-
-def rayleigh_sweep(f: PeriodicFunction, ns) -> ConvergenceReport:
-    """Convergence table for the centered interpolants of f over the given n.
+def rayleigh_sweep(f: PeriodicFunction, ns) -> tuple:
+    """Convergence table for the centered interpolants of f: one SweepRow per
+    given n, in increasing order.
 
     Per n: samples f, centers by the sample mean, and records both interpolant
     energies, the discrete slack of the normalized sample vector, and the
@@ -157,30 +152,12 @@ def rayleigh_sweep(f: PeriodicFunction, ns) -> ConvergenceReport:
                 elapsed_ms=elapsed,
             )
         )
-    return ConvergenceReport(label=f.label, rows=tuple(rows))
+    return tuple(rows)
 
 
-@dataclass(frozen=True)
-class FourierTable:
-    """Coefficients (j, a_j, b_j) for j = 1..jmax, plus how they were obtained."""
-
-    coefficients: tuple
-    method: str  # "discrete-projection" or "quadrature"
-
-    @property
-    def jmax(self) -> int:
-        return max(j for j, _, _ in self.coefficients)
-
-    def coefficient(self, j: int) -> tuple[float, float]:
-        for jj, a, b in self.coefficients:
-            if jj == j:
-                return a, b
-        raise RangeError(f"no coefficient j={j} in table (jmax={self.jmax})")
-
-
-def fourier_discrete(f: PeriodicFunction, n: int, jmax: int) -> FourierTable:
-    """Fourier coefficients of f from the projections of its samples onto the
-    invariant planes H_j at grid size n.
+def fourier_discrete(f: PeriodicFunction, n: int, jmax: int) -> tuple:
+    """Fourier coefficients (j, a_j, b_j), j = 1..jmax, of f from the projections
+    of its samples onto the invariant planes H_j at grid size n.
 
     The paper projects the interpolant of the samples of f onto the
     interpolants of the sampled cos(jt), sin(jt), which span H_j, and divides
@@ -203,12 +180,12 @@ def fourier_discrete(f: PeriodicFunction, n: int, jmax: int) -> FourierTable:
     spectrum = np.fft.rfft(np.roll(sample(f, n), 1))[1 : jmax + 1] * (2.0 / n)
     # 0.0 - imag, not -imag: a zero imaginary part gives b_j = 0.0, never "-0"
     coeffs = zip(range(1, jmax + 1), spectrum.real.tolist(), (0.0 - spectrum.imag).tolist())
-    return FourierTable(coefficients=tuple(coeffs), method="discrete-projection")
+    return tuple(coeffs)
 
 
-def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> FourierTable:
-    """Fourier coefficients a_j = (1/pi) * integral of f(t) cos(jt),
-    b_j = (1/pi) * integral of f(t) sin(jt), by adaptive quadrature."""
+def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> tuple:
+    """Fourier coefficients (j, a_j, b_j), j = 1..jmax, by adaptive quadrature:
+    a_j = (1/pi) * integral of f(t) cos(jt), b_j = (1/pi) * integral of f(t) sin(jt)."""
     if jmax < 1:
         raise InvalidSize(f"need jmax >= 1, got {jmax}")
     coeffs = []
@@ -216,7 +193,7 @@ def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> Fo
         a = _period_integral(lambda t: f.value(t) * np.cos(j * t), tol) / math.pi
         b = _period_integral(lambda t: f.value(t) * np.sin(j * t), tol) / math.pi
         coeffs.append((j, a, b))
-    return FourierTable(coefficients=tuple(coeffs), method="quadrature")
+    return tuple(coeffs)
 
 
 def _period_integral(g: Callable[[np.ndarray], np.ndarray], tol: float) -> float:
@@ -232,11 +209,12 @@ def _trig_polynomial(terms, label: str) -> PeriodicFunction:
     return PeriodicFunction(value=_TrigSeries(kept).evaluate, label=label)
 
 
-def partial_sum(table: FourierTable, order: int) -> PeriodicFunction:
-    """Trigonometric polynomial summing the table's harmonics up to `order`."""
-    if not 0 <= order <= table.jmax:
-        raise RangeError(f"order must lie in 0..{table.jmax}, got {order}")
-    kept = [(j, a, b) for j, a, b in table.coefficients if j <= order]
+def partial_sum(table: tuple, order: int) -> PeriodicFunction:
+    """Trigonometric polynomial summing the harmonics j <= `order` of a table of
+    (j, a_j, b_j), j = 1..jmax, as fourier_discrete and fourier_quadrature give."""
+    if not 0 <= order <= len(table):
+        raise RangeError(f"order must lie in 0..{len(table)}, got {order}")
+    kept = [(j, a, b) for j, a, b in table if j <= order]
     return _trig_polynomial(kept, label=f"partial_sum(J={order})")
 
 

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -189,7 +190,9 @@ def _fmt_value(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _render(rows: list, header: list, fmt: str) -> str:
+def _render(rows: list, fmt: str) -> str:
+    """The rows (dicts) as CSV or JSON lines, with the first row's keys as columns."""
+    header = list(rows[0])
     if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_fmt_value(row[h]) for h in header) for row in rows)
@@ -203,11 +206,20 @@ def _render(rows: list, header: list, fmt: str) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temp file and a rename.  mkstemp makes the file 0o600, so it
+    gets the mode that open() would leave: an existing target's, else 0o666 & ~umask."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o077)  # reading the umask sets it; 0o077 meanwhile is the safe side
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wirtinger-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(text.encode("utf-8"))
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -215,8 +227,8 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(rows: list, header: list, cfg) -> None:
-    text = _render(rows, header, cfg.fmt)
+def _emit(rows: list, cfg) -> None:
+    text = _render(rows, cfg.fmt)
     if cfg.out:
         _atomic_write(cfg.out, text)
     else:
@@ -224,7 +236,6 @@ def _emit(rows: list, header: list, cfg) -> None:
 
 
 def _cmd_bounds(cfg) -> int:
-    header = ["n", "cos_bound", "piecewise_bound", "margin"]
     rows = []
     ok = True
     for n in cfg.ns:
@@ -232,13 +243,12 @@ def _cmd_bounds(cfg) -> int:
         rows.append({"n": n, "cos_bound": cmp.lhs, "piecewise_bound": cmp.rhs,
                      "margin": cmp.margin})
         ok = ok and cmp.margin > 0.0
-    _emit(rows, header, cfg)
+    _emit(rows, cfg)
     return 0 if ok else 1
 
 
 def _cmd_sweep(cfg) -> int:
-    header = ["n", "mean", "energy_l2", "energy_h1", "slack", "tail_energy", "elapsed_ms"]
-    _emit([vars(r) for r in rayleigh_sweep(cfg.fn, cfg.ns).rows], header, cfg)
+    _emit([vars(r) for r in rayleigh_sweep(cfg.fn, cfg.ns)], cfg)
     return 0
 
 
@@ -247,20 +257,18 @@ def _cmd_fourier(cfg) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-3
     discrete = fourier_discrete(cfg.fn, n, cfg.jmax)
     quad = fourier_quadrature(cfg.fn, cfg.jmax)
-    header = ["j", "a_discrete", "b_discrete", "a_quad", "b_quad", "abs_err_a", "abs_err_b"]
     rows = []
     worst = 0.0
-    for (j, ad, bd), (_, aq, bq) in zip(discrete.coefficients, quad.coefficients):
+    for (j, ad, bd), (_, aq, bq) in zip(discrete, quad):
         ea, eb = abs(ad - aq), abs(bd - bq)
         worst = max(worst, ea, eb)
         rows.append({"j": j, "a_discrete": ad, "b_discrete": bd, "a_quad": aq,
                      "b_quad": bq, "abs_err_a": ea, "abs_err_b": eb})
-    _emit(rows, header, cfg)
+    _emit(rows, cfg)
     return 0 if worst <= tol else 1
 
 
 def _cmd_maximize(cfg) -> int:
-    header = ["n", "oracle_value", "cos_bound", "diff", "span_residual"]
     rows = []
     ok = True
     for n in cfg.ns:
@@ -271,7 +279,7 @@ def _cmd_maximize(cfg) -> int:
         rows.append({"n": n, "oracle_value": value, "cos_bound": bound,
                      "diff": diff, "span_residual": residual})
         ok = ok and diff <= 1e-10 and residual <= 1e-8
-    _emit(rows, header, cfg)
+    _emit(rows, cfg)
     return 0 if ok else 1
 
 
@@ -312,8 +320,7 @@ def _cmd_verify(cfg) -> int:
         print(f"{name:<10} max_residual={residuals[name]:.3e} "
               f"threshold={thresholds[name]:.1e} {'pass' if passed else 'FAIL'}")
     if cfg.out:
-        text = _render(rows, ["check", "max_residual", "threshold", "status"], cfg.fmt)
-        _atomic_write(cfg.out, text)
+        _atomic_write(cfg.out, _render(rows, cfg.fmt))
     return 0 if all_pass else 1
 
 

@@ -7,7 +7,6 @@ t_j = 2*pi*j/n.
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,19 +130,6 @@ def cyclic_correlation(x) -> float:
     """Sum of x_j * x_{j-1} around the cycle, i.e. <X, shift(X)>."""
     v = as_samples(x)
     return fdot(v, np.roll(v, 1))
-
-
-@dataclass(frozen=True)
-class ConstraintStatus:
-    """Mean and squared norm of a sample vector."""
-
-    mean: float
-    norm_sq: float
-
-
-def constraint_status(x) -> ConstraintStatus:
-    v = as_samples(x)
-    return ConstraintStatus(mean=fsum(v) / v.size, norm_sq=fdot(v, v))
 
 
 def center_normalize(x) -> np.ndarray:

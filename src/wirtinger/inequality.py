@@ -16,9 +16,9 @@ from .core import (
     TWO_PI,
     _require_size,
     as_samples,
-    constraint_status,
     cyclic_correlation,
     fdot,
+    fsum,
     fsum_rows,
 )
 from .errors import ConstraintViolation, ConvergenceFailure, InvalidSize
@@ -81,10 +81,10 @@ def check_inequality(x) -> InequalityReport:
     """
     v = as_samples(x)
     _require_size(v.size)
-    status = constraint_status(v)
-    if abs(status.mean) > CONSTRAINT_TOL or abs(status.norm_sq - 1.0) > CONSTRAINT_TOL:
+    mean, norm_sq = fsum(v) / v.size, fdot(v, v)
+    if abs(mean) > CONSTRAINT_TOL or abs(norm_sq - 1.0) > CONSTRAINT_TOL:
         raise ConstraintViolation(
-            f"constraints not met: mean={status.mean:.3e}, norm^2-1={status.norm_sq - 1.0:.3e}"
+            f"constraints not met: mean={mean:.3e}, norm^2-1={norm_sq - 1.0:.3e}"
         )
     corr = cyclic_correlation(v)
     bound = discrete_bound(v.size)
@@ -198,11 +198,6 @@ def random_unit_zero_mean_rows(n: int, m: int, rng: np.random.Generator) -> np.n
         return xs
     kept = xs[keep] / norms[keep, None]
     return np.concatenate([kept, random_unit_zero_mean_rows(n, m - len(kept), rng)])
-
-
-def random_unit_zero_mean(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-direction random vector on the mean-zero unit sphere."""
-    return random_unit_zero_mean_rows(n, 1, rng)[0]
 
 
 def max_violation(xs) -> float:

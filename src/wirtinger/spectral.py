@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, _require_rotation_block, _require_size, as_samples, fdot
-from .errors import BlockOutOfRange, DimensionMismatch
+from .core import TWO_PI, _require_rotation_block, _require_size, as_samples
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -46,27 +46,12 @@ class CyclicBasis:
     """The shift-adapted orthonormal basis for a given n.
 
     `vectors` is an n x n read-only array whose row i is the basis vector
-    e_{i+1}.  `blocks` lists the invariant blocks; `block(k)` looks one up
-    by its frequency label.
+    e_{i+1}.  `blocks` lists the invariant blocks, as block_layout(n) does.
     """
 
     n: int
     vectors: np.ndarray
     blocks: tuple
-
-    def block(self, k: int):
-        n = self.n
-        if k == 0:
-            return self.blocks[0]
-        if 2 * k == n:
-            return self.blocks[1]
-        if 1 <= k <= (n - 1) // 2:
-            return self.blocks[_first_rotation_row(n) + k - 1]
-        raise BlockOutOfRange(f"no block k={k} for n={n} (valid: 0..{n // 2})")
-
-    @property
-    def block_ids(self) -> list[int]:
-        return sorted(b.k for b in self.blocks)
 
 
 def _first_rotation_row(n: int) -> int:
@@ -180,29 +165,14 @@ def canonical_form(y, basis: CyclicBasis) -> float:
     return math.fsum(terms)
 
 
-def project(x, basis: CyclicBasis, k: int) -> float:
-    """Squared norm of the orthogonal projection of X onto block k."""
-    v = as_samples(x)
-    if v.size != basis.n:
-        raise DimensionMismatch(f"vector has length {v.size}, basis has n={basis.n}")
-    b = basis.block(k)
-    idx = (b.index,) if isinstance(b, Fixed) else b.indices
-    return math.fsum(fdot(v, basis.vectors[i]) ** 2 for i in idx)
-
-
-def block_energies(x) -> dict[int, float]:
-    """Squared projection norms for every block, keyed by block label k.
+def block_energies(x) -> np.ndarray:
+    """Squared projection norms for every block, indexed by block label k = 0..n//2.
 
     The shift-adapted basis is the real DFT basis, so one real FFT
     X = rfft(x) gives every projection without building it: |X_0|^2/n for
     the constant block, |X_{n/2}|^2/n for the alternating one (n even) and
     2|X_k|^2/n on each rotation plane 1 <= k < n/2.
     """
-    return dict(enumerate(_block_energy_array(x).tolist()))
-
-
-def _block_energy_array(x) -> np.ndarray:
-    """block_energies' values as an array, indexed by the block label."""
     v = as_samples(x)
     n = v.size
     _require_size(n)

@@ -10,9 +10,9 @@ rebuilt block layout at a time for the spectral kernels, one block at a time
 for the basis, one math.fsum per row for the random rows, the dense shift
 matrix `shift_matrix` and the deflated n x n eigensolver `oracle_max_dense`
 for the oracle, depth-first recursion with one integrand call per point for
-adaptive Simpson, and a math.cos/math.sin loop per point for trigonometric
-polynomials): they are kept here as the reference the fast route must
-match.
+adaptive Simpson, a math.cos/math.sin loop per point for trigonometric
+polynomials, and `project` onto the rows of the dense basis for the block
+energies): they are kept here as the reference the fast route must match.
 """
 
 import math
@@ -20,12 +20,15 @@ import math
 import numpy as np
 
 from wirtinger import (
+    BlockOutOfRange,
     ConvergenceFailure,
+    DimensionMismatch,
     Fixed,
     OracleResult,
     QuadratureFailure,
     Rotation,
     aligned_harmonics,
+    as_samples,
     basis_norm,
     block_layout,
     build_basis,
@@ -86,6 +89,33 @@ def lstsq_projection_sq(x, rows) -> float:
     coef, *_ = np.linalg.lstsq(a, np.asarray(x, dtype=float), rcond=None)
     p = a @ coef
     return float(p @ p)
+
+
+def block(basis, k: int):
+    """The block of the basis with frequency label k."""
+    n = basis.n
+    if k == 0:
+        return basis.blocks[0]
+    if 2 * k == n:
+        return basis.blocks[1]
+    if 1 <= k <= (n - 1) // 2:
+        return basis.blocks[2 - n % 2 + k - 1]  # after the one or two fixed blocks
+    raise BlockOutOfRange(f"no block k={k} for n={n} (valid: 0..{n // 2})")
+
+
+def block_ids(basis) -> list[int]:
+    return sorted(b.k for b in basis.blocks)
+
+
+def project(x, basis, k: int) -> float:
+    """Squared norm of the orthogonal projection of X onto block k, from the
+    dense basis rows."""
+    v = as_samples(x)
+    if v.size != basis.n:
+        raise DimensionMismatch(f"vector has length {v.size}, basis has n={basis.n}")
+    b = block(basis, k)
+    idx = (b.index,) if isinstance(b, Fixed) else b.indices
+    return math.fsum(fdot(v, basis.vectors[i]) ** 2 for i in idx)
 
 
 def harmonic_span_residual(x) -> float:

@@ -28,7 +28,7 @@ from wirtinger import (
     oracle_max,
     partial_sum,
     piecewise_bound,
-    random_unit_zero_mean,
+    random_unit_zero_mean_rows,
     rayleigh_sweep,
     sample,
     tail_energy,
@@ -97,8 +97,8 @@ def test_criterion_03_inequality_as_property():
     violations = 0
     worst = math.inf
     for n in range(4, 65):
-        for _ in range(per_n):
-            slack = check_inequality(random_unit_zero_mean(n, rng)).slack
+        for x in random_unit_zero_mean_rows(n, per_n, rng):
+            slack = check_inequality(x).slack
             worst = min(worst, slack)
             if slack < -SLACK_TOL:
                 violations += 1
@@ -184,8 +184,8 @@ def test_criterion_06_corollary_at_desk_scale():
 
 def test_criterion_07_convergence_to_classical_inequality():
     report = rayleigh_sweep(named_function("sin1"), [16, 32, 64, 128, 256])
-    errs_l2 = [abs(r.energy_l2 - math.pi) for r in report.rows]
-    errs_h1 = [abs(r.energy_h1 - math.pi) for r in report.rows]
+    errs_l2 = [abs(r.energy_l2 - math.pi) for r in report]
+    errs_h1 = [abs(r.energy_h1 - math.pi) for r in report]
     ratios = [a / b for a, b in zip(errs_l2, errs_l2[1:])]
     ratios += [a / b for a, b in zip(errs_h1, errs_h1[1:])]
     lo, hi = RATE_WINDOW
@@ -212,7 +212,7 @@ def test_criterion_09_fourier_recovery():
     discrete = fourier_discrete(f, 513, 4)
     quad = fourier_quadrature(f, 4)
     worst = 0.0
-    for (j, ad, bd), (_, aq, bq) in zip(discrete.coefficients, quad.coefficients):
+    for (j, ad, bd), (_, aq, bq) in zip(discrete, quad):
         worst = max(worst, abs(ad - aq), abs(bd - bq))
     ps = partial_sum(discrete, 4)
     l2_err = adaptive_simpson(

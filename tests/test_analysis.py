@@ -15,7 +15,6 @@ from oracles import (
 from wirtinger import (
     FUNCTION_NAMES,
     DegenerateVector,
-    FourierTable,
     InvalidSize,
     NonFinite,
     PeriodicFunction,
@@ -151,16 +150,15 @@ def test_tail_energy_at_four_is_the_alternating_line(coefficients, tail):
     in block k = 2, and its tail is a^2 (the (1/n) sum of the squared samples)."""
     f = harmonic_mix(coefficients)
     assert tail_energy(f, 4) == pytest.approx(tail, abs=1e-15)
-    assert rayleigh_sweep(f, [4]).rows[0].tail_energy == pytest.approx(tail, abs=1e-15)
+    assert rayleigh_sweep(f, [4])[0].tail_energy == pytest.approx(tail, abs=1e-15)
 
 
 def test_sweep_rows_sorted_and_finite():
     report = rayleigh_sweep(named_function("cubicodd"), [32, 8, 16])
-    assert [r.n for r in report.rows] == [8, 16, 32]
-    for r in report.rows:
+    assert [r.n for r in report] == [8, 16, 32]
+    for r in report:
         for v in (r.mean, r.energy_l2, r.energy_h1, r.slack, r.tail_energy, r.elapsed_ms):
             assert math.isfinite(v)
-    assert report.label == "cubicodd"
 
 
 def test_sweep_sin_energies_converge_to_pi():
@@ -168,12 +166,12 @@ def test_sweep_sin_energies_converge_to_pi():
     report = rayleigh_sweep(named_function("sin1"), ns)
     # errors are pi*(1-cos a)/3 and ~pi*a^2/12 with a = 2*pi/n, so at n=128
     # they sit near 1.3e-3 and 6e-4
-    errs_l2 = [abs(r.energy_l2 - math.pi) for r in report.rows]
-    errs_h1 = [abs(r.energy_h1 - math.pi) for r in report.rows]
+    errs_l2 = [abs(r.energy_l2 - math.pi) for r in report]
+    errs_h1 = [abs(r.energy_h1 - math.pi) for r in report]
     assert errs_l2[-1] <= 2e-3 and errs_h1[-1] <= 1e-3
     for a, b in zip(errs_l2, errs_l2[1:]):
         assert 3.5 <= a / b <= 4.5
-    slacks = [r.slack for r in report.rows]
+    slacks = [r.slack for r in report]
     assert all(s >= -1e-12 for s in slacks)
     assert slacks[-1] <= slacks[0]  # equality case: slack decays toward 0
     assert slacks[-1] <= 1e-3
@@ -181,24 +179,24 @@ def test_sweep_sin_energies_converge_to_pi():
 
 def test_sweep_sin2_energy_ratio_approaches_four():
     report = rayleigh_sweep(named_function("sin2"), [16, 32, 64, 128])
-    ratios = [r.energy_h1 / r.energy_l2 for r in report.rows]
+    ratios = [r.energy_h1 / r.energy_l2 for r in report]
     assert abs(ratios[-1] - 4.0) <= 0.02
     assert all(abs(r2 - 4.0) <= abs(r1 - 4.0) + 1e-12 for r1, r2 in zip(ratios, ratios[1:]))
 
 
 def test_sweep_mean_column_decays():
     report = rayleigh_sweep(expsin_centered(), [8, 16, 32])
-    means = [abs(r.mean) for r in report.rows]
-    assert all(m <= 0.5 / (r.n**2) for m, r in zip(means, report.rows))
+    means = [abs(r.mean) for r in report]
+    assert all(m <= 0.5 / (r.n**2) for m, r in zip(means, report))
 
 
 def test_sweep_slack_positivity_across_registry():
     for name in ("sin1", "cos1", "sin2", "mix13", "cubicodd"):
         report = rayleigh_sweep(named_function(name), [4, 9, 32, 33])
-        assert all(r.slack >= -1e-12 for r in report.rows)
+        assert all(r.slack >= -1e-12 for r in report)
         # each of these has f(t + pi) = -f(t) on the 4-point grid, so its one
         # block k >= 2 there (the alternating line) holds only rounding, ~eps^2
-        assert report.rows[0].tail_energy <= 1e-30
+        assert report[0].tail_energy <= 1e-30
 
 
 @pytest.mark.parametrize("n", [64, 4096, 65536])
@@ -212,7 +210,7 @@ def test_sweep_slack_matches_exact_quotient(n):
     with mpmath.workdps(50):
         correlation = mpmath.mpf(quotient.numerator) / quotient.denominator
         exact = mpmath.cos(2 * mpmath.pi / n) - correlation
-        error = abs(rayleigh_sweep(f, [n]).rows[0].slack - exact) / exact
+        error = abs(rayleigh_sweep(f, [n])[0].slack - exact) / exact
     assert error <= 4 * EPS, float(error / EPS)
 
 
@@ -224,32 +222,30 @@ def test_sweep_rejects_constant_function():
 
 class TestFourierDiscrete:
     def test_single_harmonic(self):
-        table = fourier_discrete(named_function("sin1"), 129, 3)
-        a1, b1 = table.coefficient(1)
+        (_, a1, b1), *rest = fourier_discrete(named_function("sin1"), 129, 3)
         assert b1 == pytest.approx(1.0, abs=1e-13)
         assert abs(a1) <= 1e-13
-        for j in (2, 3):
-            aj, bj = table.coefficient(j)
+        for _, aj, bj in rest:
             assert abs(aj) <= 1e-13 and abs(bj) <= 1e-13
 
     def test_mixture(self):
         table = fourier_discrete(named_function("mix13"), 257, 4)
-        assert table.coefficient(3)[0] == pytest.approx(0.5, abs=1e-13)
-        assert table.coefficient(1)[1] == pytest.approx(1.0, abs=1e-13)
-        assert table.method == "discrete-projection"
+        assert table[2][1] == pytest.approx(0.5, abs=1e-13)
+        assert table[0][2] == pytest.approx(1.0, abs=1e-13)
 
     def test_trig_polynomials_recovered_exactly(self):
         """Below the aliasing threshold the projection formula is an identity,
         not an approximation."""
         f = harmonic_mix([0.25, -1.5, 0.0, 0.75, 2.0, 0.0])
         table = fourier_discrete(f, 16, 3)
-        assert table.coefficient(1) == pytest.approx((0.25, -1.5), abs=1e-14)
-        assert table.coefficient(2) == pytest.approx((0.0, 0.75), abs=1e-14)
-        assert table.coefficient(3) == pytest.approx((2.0, 0.0), abs=1e-14)
+        assert [j for j, _, _ in table] == [1, 2, 3]
+        assert table[0][1:] == pytest.approx((0.25, -1.5), abs=1e-14)
+        assert table[1][1:] == pytest.approx((0.0, 0.75), abs=1e-14)
+        assert table[2][1:] == pytest.approx((2.0, 0.0), abs=1e-14)
 
     def test_zero_function(self):
         table = fourier_discrete(harmonic_mix([0.0]), 64, 4)
-        for j, a, b in table.coefficients:
+        for j, a, b in table:
             assert a == 0.0 and b == 0.0
             assert math.copysign(1.0, a) == math.copysign(1.0, b) == 1.0  # no "-0" in tables
 
@@ -271,31 +267,31 @@ def test_fourier_discrete_matches_interpolant_route(n):
         x = sample(f, n)
         budget = 8 * EPS * np.abs(x).max()
         table = fourier_discrete(f, n, jmax)
-        for (j, a, b), (_, a_ref, b_ref) in zip(table.coefficients, fourier_interpolant(x, jmax)):
+        for (j, a, b), (_, a_ref, b_ref) in zip(table, fourier_interpolant(x, jmax)):
             assert abs(a - a_ref) <= budget, (f.label, j)
             assert abs(b - b_ref) <= budget, (f.label, j)
 
 
 class TestFourierQuadrature:
     def test_single_harmonic(self):
-        table = fourier_quadrature(named_function("sin1"), 3)
-        assert table.coefficient(1)[1] == pytest.approx(1.0, abs=1e-10)
-        assert abs(table.coefficient(1)[0]) <= 1e-10
-        for j in (2, 3):
-            assert max(map(abs, table.coefficient(j))) <= 1e-10
+        (_, a1, b1), *rest = fourier_quadrature(named_function("sin1"), 3)
+        assert b1 == pytest.approx(1.0, abs=1e-10)
+        assert abs(a1) <= 1e-10
+        for _, aj, bj in rest:
+            assert max(abs(aj), abs(bj)) <= 1e-10
 
     def test_mixture(self):
         table = fourier_quadrature(named_function("mix13"), 4)
-        assert table.coefficient(3)[0] == pytest.approx(0.5, abs=1e-10)
+        assert table[2][1] == pytest.approx(0.5, abs=1e-10)
 
     def test_odd_function_has_no_cosine_terms(self):
         table = fourier_quadrature(named_function("cubicodd"), 4)
-        for j, a, b in table.coefficients:
+        for j, a, b in table:
             assert abs(a) <= 1e-10
             assert math.isfinite(b)
         # sine coefficients of this cubic decay like 1/j^3
-        b1 = table.coefficient(1)[1]
-        b2 = table.coefficient(2)[1]
+        b1 = table[0][2]
+        b2 = table[1][2]
         assert b1 / b2 == pytest.approx(8.0, rel=1e-6)
 
     def test_discrete_agrees_with_quadrature(self):
@@ -303,7 +299,7 @@ class TestFourierQuadrature:
             f = named_function(name)
             discrete = fourier_discrete(f, 513, 4)
             quad = fourier_quadrature(f, 4)
-            for (j, ad, bd), (_, aq, bq) in zip(discrete.coefficients, quad.coefficients):
+            for (j, ad, bd), (_, aq, bq) in zip(discrete, quad):
                 assert abs(ad - aq) <= 5e-4
                 assert abs(bd - bq) <= 5e-4
 
@@ -366,8 +362,7 @@ def test_trig_polynomial_matches_dot_form():
     terms = list(zip(range(1, harmonics + 1), flat[0::2], flat[1::2]))
     value_ref = trig_polynomial_dot(terms)
     value_budget = 4 * harmonics * EPS * math.fsum(abs(a) + abs(b) for _, a, b in terms)
-    table = FourierTable(coefficients=tuple(terms), method="quadrature")
-    for f in (harmonic_mix(flat), partial_sum(table, harmonics)):
+    for f in (harmonic_mix(flat), partial_sum(tuple(terms), harmonics)):
         for t in np.linspace(-TWO_PI, 2 * TWO_PI, 301).tolist():
             assert abs(f.value(t) - value_ref(t)) <= value_budget
 
@@ -399,13 +394,6 @@ def test_period_integral_of_a_near_alias():
     integer frequency on the pieces' nodes, and integrates to 0."""
     got = _period_integral(lambda t: np.cos(400 * t) * np.cos(14 * t), 1e-10)
     assert got == pytest.approx(0.0, abs=1e-10)
-
-
-def test_fourier_table_coefficient_lookup():
-    table = fourier_quadrature(named_function("sin1"), 2)
-    assert table.jmax == 2
-    with pytest.raises(RangeError):
-        table.coefficient(5)
 
 
 def _per_point(f: PeriodicFunction):
@@ -453,7 +441,7 @@ def test_fourier_quadrature_has_the_per_point_bits(f):
         a = period_integral_per_point(lambda t: value(t) * math.cos(j * t), 1e-10, PERIOD_PIECES)
         b = period_integral_per_point(lambda t: value(t) * math.sin(j * t), 1e-10, PERIOD_PIECES)
         want.append((j, a / math.pi, b / math.pi))
-    got = fourier_quadrature(f, jmax).coefficients
+    got = fourier_quadrature(f, jmax)
     assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
 

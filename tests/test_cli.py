@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -161,6 +162,33 @@ def test_bounds_file_byte_deterministic(tmp_path):
     assert b1 == b2
     assert b"\r" not in b1 and b1.endswith(b"\n")
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".wirtinger-")]
+
+
+@pytest.fixture
+def umask():
+    """Set the process umask for one test, and restore it after."""
+    saved = os.umask(0o022)
+    yield os.umask
+    os.umask(saved)
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_new_out_file_gets_the_umask_mode(mask, mode, umask, tmp_path):
+    """A new --out file has the mode open() would give it, not the 0o600 of
+    the temp file it is renamed from."""
+    umask(mask)
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--n", "4..6", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+def test_out_file_keeps_the_mode_of_the_file_it_replaces(umask, tmp_path):
+    out = tmp_path / "b.csv"
+    out.write_text("old\n")
+    out.chmod(0o664)
+    assert main(["bounds", "--n", "4..6", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o664
+    assert out.read_text().startswith(BOUNDS_HEADER + "\n")
 
 
 def test_sweep_csv_schema(tmp_path):

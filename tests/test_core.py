@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from oracles import shift_matrix
 
 from wirtinger import (
-    ConstraintStatus,
     DegenerateVector,
     NonFinite,
     center_normalize,
-    constraint_status,
     cyclic_correlation,
     shift,
 )
@@ -72,13 +70,6 @@ def test_center_normalize_fixed_point():
 def test_center_normalize_constant_degenerate():
     with pytest.raises(DegenerateVector):
         center_normalize([5.0, 5.0, 5.0, 5.0])
-
-
-def test_constraint_status_fields():
-    st_ = constraint_status([1.0, 2.0, 3.0, 6.0])
-    assert isinstance(st_, ConstraintStatus)
-    assert st_.mean == pytest.approx(3.0)
-    assert st_.norm_sq == pytest.approx(50.0)
 
 
 @given(vectors)

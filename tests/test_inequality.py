@@ -25,7 +25,6 @@ from wirtinger import (
     max_violation,
     oracle_max,
     piecewise_bound,
-    random_unit_zero_mean,
     random_unit_zero_mean_rows,
 )
 
@@ -119,15 +118,14 @@ def test_check_inequality_rejects_unnormalized():
 def test_random_conforming_slacks():
     rng = np.random.default_rng(42)
     for n in (4, 5, 17, 64):
-        for _ in range(200):
-            report = check_inequality(random_unit_zero_mean(n, rng))
-            assert report.slack >= -SLACK_TOL
+        for x in random_unit_zero_mean_rows(n, 200, rng):
+            assert check_inequality(x).slack >= -SLACK_TOL
 
 
 def test_random_unit_zero_mean_constraints():
     rng = np.random.default_rng(1)
     for n in (4, 100, 512):
-        x = random_unit_zero_mean(n, rng)
+        x = random_unit_zero_mean_rows(n, 1, rng)[0]
         assert abs(float(np.sum(x))) <= 1e-12
         assert float(x @ x) == pytest.approx(1.0, abs=1e-12)
 
@@ -143,8 +141,8 @@ def test_rows_match_sequential_draws(n, m):
     assert rows.shape == (m, n)
     assert rows.tobytes() == seq.tobytes()
     assert rng_rows.standard_normal(3).tobytes() == rng_seq.standard_normal(3).tobytes()
-    assert random_unit_zero_mean(n, rng_rows).tobytes() == random_unit_zero_mean_per_vector(
-        n, rng_seq).tobytes()
+    assert random_unit_zero_mean_rows(n, 1, rng_rows)[0].tobytes() == (
+        random_unit_zero_mean_per_vector(n, rng_seq).tobytes())
 
 
 @pytest.mark.parametrize("m", [1, 5, 200])
