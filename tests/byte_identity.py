@@ -10,6 +10,9 @@ that every output below is byte for byte the same.
 - `verify --n 4..160` on seeds 0..79, and `verify --n 4..512` on seeds 1 and 42;
 - `sweep` and `fourier` for each `--fn` function, `bounds` and `maximize`,
   all at their default `--n`;
+- `fourier --fn cubicodd --n 1024 --jmax 20`, whose harmonics span three
+  quadrature groups, and the three `fourier --harmonics=... --n 16` calls
+  whose quadrature fails at the rounding level (exit code and stderr);
 - the two CLI calls of the benchmark's `limit` workload on seeds 1..10;
 - each `ACCEPTANCE` line of tests/test_acceptance.py;
 - the stdout of each script under demos/.
@@ -96,6 +99,10 @@ def cli_outputs(root: Path, workdir: str) -> list:
         calls.append((f"sweep-{fn}", ["sweep", "--fn", fn]))
         calls.append((f"fourier-{fn}", ["fourier", "--fn", fn]))
     calls += [("bounds", ["bounds"]), ("maximize", ["maximize"])]
+    calls.append(("fourier-cubicodd-jmax20", ["fourier", "--fn", "cubicodd", "--n", "1024",
+                                              "--jmax", "20"]))
+    calls += [(f"fourier-fails-{h}", ["fourier", f"--harmonics={h}", "--n", "16"])
+              for h in ("1e8", "0,1e8", "0,1e6")]
     return calls + _limit_argvs(root, workdir)
 
 

@@ -32,6 +32,7 @@ from wirtinger import (
     sample,
     tail_energy,
 )
+from wirtinger import quadrature
 from wirtinger.analysis import PERIOD_PIECES, _period_integral
 
 TWO_PI = 2.0 * math.pi
@@ -430,12 +431,13 @@ def test_sample_has_the_per_point_bits(n):
         assert _bits(sample(f, n)) == _bits(want), f.label
 
 
-@pytest.mark.parametrize("f", SAMPLED, ids=lambda f: f.label[:12])
-def test_fourier_quadrature_has_the_per_point_bits(f):
+@pytest.mark.parametrize("f, jmax", [pytest.param(f, 8, id=f.label[:12]) for f in SAMPLED]
+                         + [pytest.param(named_function("cubicodd"), 12, id="cubicodd-jmax12")])
+def test_fourier_quadrature_has_the_per_point_bits(f, jmax):
     """The array integrands, refined breadth-first, give the bits of the
-    per-point integrands with math.cos and math.sin, refined depth-first."""
+    per-point integrands with math.cos and math.sin, refined depth-first;
+    at jmax = 12 the harmonics span two groups."""
     value = _per_point(f)
-    jmax = 8
     want = []
     for j in range(1, jmax + 1):
         a = period_integral_per_point(lambda t: value(t) * math.cos(j * t), 1e-10, PERIOD_PIECES)
@@ -457,6 +459,38 @@ def test_high_harmonic_integrands_have_the_per_point_bits(terms, j):
     got = _period_integral(lambda t: f.value(t) * np.sin(j * t), 1e-10)
     want = period_integral_per_point(lambda t: value(t) * math.sin(j * t), 1e-10, PERIOD_PIECES)
     assert _bits([got]) == _bits([want])
+
+
+# the benchmark's `limit` polynomial of seed 7
+LIMIT_SEED_7 = np.random.default_rng(7).uniform(-1.0, 1.0, 8).tolist()
+
+
+def test_fourier_quadrature_evaluates_f_once_per_point():
+    """The 16 integrals of jmax = 8 bisect the same dyadic tree of the pieces:
+    one integral at a time evaluated f at 124,328 points, one frontier for all
+    at about 10,125, the distinct points."""
+    f = harmonic_mix(LIMIT_SEED_7)
+    points = []
+    counting = PeriodicFunction(lambda t: points.append(t.size) or f.value(t))
+    points.clear()  # the periodicity probe
+    fourier_quadrature(counting, 8)
+    assert sum(points) <= 10_200, sum(points)
+
+
+def test_fourier_quadrature_redoes_a_failed_group_one_integral_at_a_time(monkeypatch):
+    """With a budget that the 16 rows of a piece exceed but each integral
+    alone does not, the first group fails together and is redone one
+    integral at a time, with the same bits."""
+    f = harmonic_mix(LIMIT_SEED_7)
+    want = fourier_quadrature(f, 12)
+    monkeypatch.setattr(quadrature, "EVAL_BUDGET", 8192)
+    piece = (0.0, TWO_PI / PERIOD_PIECES)
+    rows = lambda t: np.array([f.value(t) * trig(j * t) for j in range(1, 9)
+                               for trig in (np.cos, np.sin)])
+    with pytest.raises(QuadratureFailure):
+        adaptive_simpson(rows, *piece, tol=1e-10 / PERIOD_PIECES)
+    got = fourier_quadrature(f, 12)
+    assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
 
 @pytest.mark.parametrize("amplitude", [1e6, 1e8])

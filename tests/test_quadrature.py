@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import adaptive_simpson_recursive
 
-from wirtinger import PiecewiseLinear, QuadratureFailure, adaptive_simpson
+from wirtinger import PiecewiseLinear, QuadratureFailure, adaptive_simpson, quadrature
 from wirtinger.quadrature import EVAL_BUDGET, MAX_DEPTH
 
 TWO_PI = 2.0 * math.pi
@@ -217,3 +217,71 @@ def test_integrand_of_another_shape_is_a_type_error():
 
 def test_scalar_result_is_a_constant():
     assert adaptive_simpson(lambda t: 1.5, 0.0, 2.0) == 3.0
+
+
+# components that accept at different depths: smooth, oscillating, kinked and zero
+COMPONENTS = (np.sin, lambda t: np.sin(40.0 * t), lambda t: np.abs(t - 1.0), lambda t: 0.0 * t)
+
+
+def _rows(t):
+    return np.array([g(t) for g in COMPONENTS])
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_rows_have_the_bits_of_each_component_alone(tol):
+    """Scalar bounds, and arrays with a < b, a == b and a > b: row i of a
+    vector integrand has the bits of component i integrated alone."""
+    got = adaptive_simpson(_rows, 0.0, 2.0, tol=tol)
+    assert got.shape == (len(COMPONENTS),)
+    for g, row in zip(COMPONENTS, got.tolist()):
+        assert _bits(row) == _bits(adaptive_simpson(g, 0.0, 2.0, tol=tol))
+    a = np.array([0.0, 1.5, 2.0, -0.5, 3.0])
+    b = np.array([2.0, 1.5, 0.25, 0.7, 1.0])
+    got = adaptive_simpson(_rows, a, b, tol=tol)
+    assert got.shape == (len(COMPONENTS), a.size)
+    for g, row in zip(COMPONENTS, got.tolist()):
+        assert [_bits(v) for v in row] == [_bits(v) for v in adaptive_simpson(g, a, b, tol=tol)]
+
+
+def test_rows_on_equal_bounds_are_zeros_of_their_shape():
+    assert adaptive_simpson(_rows, 1.0, 1.0).tolist() == [0.0] * len(COMPONENTS)
+    assert adaptive_simpson(_rows, np.ones(2), np.ones(2)).shape == (len(COMPONENTS), 2)
+
+
+def test_one_row_is_an_array_of_one():
+    got = adaptive_simpson(lambda t: np.exp(t)[None], 0.0, 1.0)
+    assert got.shape == (1,) and _bits(got[0]) == _bits(adaptive_simpson(np.exp, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: np.ones((2, t.size + 1)),
+    lambda t: np.ones((2, 1, t.size)),
+    lambda t: np.ones((2 if t.size == 3 else 3, t.size)),  # the rows change after the first call
+])
+def test_rows_of_another_shape_are_a_type_error(f):
+    with pytest.raises(TypeError, match="got shape"):
+        adaptive_simpson(f, 0.0, 1.0)
+
+
+def test_a_row_that_misses_its_tolerance_fails_as_it_does_alone():
+    c = 0.5773502691
+    step = lambda t: np.where(t < c, 0.0, 1.0)
+    with pytest.raises(QuadratureFailure) as alone:
+        adaptive_simpson(step, 0.0, 1.0, tol=1e-13)
+    with pytest.raises(QuadratureFailure) as rows:
+        adaptive_simpson(lambda t: np.array([np.sin(t), step(t)]), 0.0, 1.0, tol=1e-13)
+    assert str(rows.value) == str(alone.value)
+    assert f"at depth {MAX_DEPTH}" in str(rows.value)
+
+
+def test_budget_counts_components_times_points(monkeypatch):
+    """Three copies of sin(40t) refine on the intervals of one, so they take
+    three values per point: a budget of exactly that passes, one less fails."""
+    sizes = []
+    adaptive_simpson(lambda t: sizes.append(t.size) or np.sin(40.0 * t), 0.0, 2.0)
+    three = lambda t: np.sin(40.0 * t) * np.ones((3, 1))
+    monkeypatch.setattr(quadrature, "EVAL_BUDGET", 3 * sum(sizes))
+    adaptive_simpson(three, 0.0, 2.0)
+    monkeypatch.setattr(quadrature, "EVAL_BUDGET", 3 * sum(sizes) - 1)
+    with pytest.raises(QuadratureFailure, match="open intervals"):
+        adaptive_simpson(three, 0.0, 2.0)
