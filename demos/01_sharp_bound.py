@@ -13,6 +13,7 @@ import numpy as np
 
 from wirtinger import (
     check_inequality,
+    check_inequality_rows,
     cyclic_correlation,
     discrete_bound,
     extremal_vector,
@@ -27,9 +28,9 @@ print(f"n = {n}, bound cos(2*pi/n) = {bound:.15f}")
 
 # random search: 50k mean-zero unit vectors, none should beat the bound
 rng = np.random.default_rng(0)
-best = -np.inf
-for x in random_unit_zero_mean_rows(n, 50_000, rng):
-    best = max(best, cyclic_correlation(x))
+xs = random_unit_zero_mean_rows(n, 50_000, rng)
+slacks = check_inequality_rows(xs)  # bound - correlation: the least slack has the best
+best = cyclic_correlation(xs[slacks.argmin()])
 print(f"best of 50000 random vectors   {best:.15f}  (gap {bound - best:.3e})")
 
 # the extremizer: first-harmonic samples with a^2 + b^2 = 2/n

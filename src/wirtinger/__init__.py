@@ -26,6 +26,7 @@ from .core import (
     as_samples,
     center_normalize,
     cyclic_correlation,
+    cyclic_correlation_rows,
     shift,
 )
 from .errors import (
@@ -45,6 +46,7 @@ from .inequality import (
     OracleResult,
     bound_comparison,
     check_inequality,
+    check_inequality_rows,
     discrete_bound,
     extremal_span_residual,
     extremal_vector,
@@ -64,6 +66,7 @@ from .spectral import (
     block_layout,
     build_basis,
     canonical_form,
+    canonical_residuals,
     coordinates,
     verify_action,
 )

@@ -24,7 +24,7 @@ from .analysis import (
     named_function,
     rayleigh_sweep,
 )
-from .core import _require_size, cyclic_correlation
+from .core import _require_size
 from .errors import (
     ConstraintViolation,
     ConvergenceFailure,
@@ -45,7 +45,7 @@ from .inequality import (  # noqa: F401
     oracle_max,
     random_unit_zero_mean_rows,
 )
-from .spectral import build_basis, canonical_form, coordinates, verify_action
+from .spectral import build_basis, canonical_residuals, verify_action
 
 # sweep and fourier take O(n log n) time and a few length-n arrays; n = 2^20 runs in seconds
 SAMPLE_MAX_N = 2**20
@@ -53,9 +53,10 @@ SAMPLE_MAX_N = 2**20
 # |X_k|^2, is at most (n sum|c|)^2: kept a factor 4 below the largest double
 HARMONICS_MAX_ABS_SUM = sys.float_info.max ** 0.5 / (2 * SAMPLE_MAX_N)
 
-# bounds holds a row per size and prints it: 10^5 sizes take about 1 s and
-# 90 MB, 10^6 took 12 s and 630 MB.  n itself is not capped: the margin is
-# exact at n = 10^8.
+# bounds writes each row as it is made, so its memory does not grow with the
+# sizes: 10^5 sizes take about 1.5 s at a peak RSS of 35 MiB, what importing the
+# package takes (90 MiB when the rows were held).  The cap bounds the run time.
+# n itself is not capped: the margin is exact at n = 10^8.
 BOUNDS_MAX_SIZES = 100_000
 
 # per-check residual thresholds for `verify`; a --tol override replaces all of them
@@ -190,24 +191,25 @@ def _fmt_value(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _render(rows: list, fmt: str) -> str:
-    """The rows (dicts) as CSV or JSON lines, with the first row's keys as columns."""
-    header = list(rows[0])
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt_value(row[h]) for h in header) for row in rows)
-        return "\n".join(lines) + "\n"
-    out = []
+def _render(rows, fmt: str):
+    """The lines of the rows (dicts) as CSV or JSON lines, with the first row's
+    keys as columns, each made as its row arrives."""
+    header = None
     for row in rows:
-        obj = {h: (row[h] if isinstance(row[h], (int, str)) else float(row[h]))
-               for h in header}
-        out.append(json.dumps(obj))
-    return "\n".join(out) + ("\n" if out else "")
+        if header is None:
+            header = list(row)
+            if fmt == "csv":
+                yield ",".join(header) + "\n"
+        if fmt == "csv":
+            yield ",".join(_fmt_value(row[h]) for h in header) + "\n"
+        else:
+            yield json.dumps({h: (row[h] if isinstance(row[h], (int, str)) else float(row[h]))
+                              for h in header}) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a temp file and a rename.  mkstemp makes the file 0o600, so it
-    gets the mode that open() would leave: an existing target's, else 0o666 & ~umask."""
+def _atomic_write(path: str, lines) -> None:
+    """Write the lines through a temp file and a rename.  mkstemp makes the file 0o600,
+    so it gets the mode that open() would leave: an existing target's, else 0o666 & ~umask."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -217,8 +219,8 @@ def _atomic_write(path: str, text: str) -> None:
         mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wirtinger-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
         os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
@@ -227,24 +229,28 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(rows: list, cfg) -> None:
-    text = _render(rows, cfg.fmt)
+def _emit(rows, cfg) -> None:
+    """Write the rows (an iterable of dicts) to --out or stdout as they are made."""
+    lines = _render(rows, cfg.fmt)
     if cfg.out:
-        _atomic_write(cfg.out, text)
+        _atomic_write(cfg.out, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _cmd_bounds(cfg) -> int:
-    rows = []
-    ok = True
-    for n in cfg.ns:
-        cmp = bound_comparison(n)
-        rows.append({"n": n, "cos_bound": cmp.lhs, "piecewise_bound": cmp.rhs,
-                     "margin": cmp.margin})
-        ok = ok and cmp.margin > 0.0
-    _emit(rows, cfg)
-    return 0 if ok else 1
+    failed = []
+
+    def rows():
+        for n in cfg.ns:
+            cmp = bound_comparison(n)
+            if not cmp.margin > 0.0:
+                failed.append(n)
+            yield {"n": n, "cos_bound": cmp.lhs, "piecewise_bound": cmp.rhs,
+                   "margin": cmp.margin}
+
+    _emit(rows(), cfg)
+    return 1 if failed else 0
 
 
 def _cmd_sweep(cfg) -> int:
@@ -283,6 +289,25 @@ def _cmd_maximize(cfg) -> int:
     return 0 if ok else 1
 
 
+def _gram_residual(vectors: np.ndarray) -> float:
+    """max |V V^T - I| over the entries."""
+    gram = vectors @ vectors.T
+    gram.reshape(-1)[::len(gram) + 1] -= 1.0  # the diagonal, as a view
+    return float(np.abs(gram, out=gram).max())
+
+
+def _random_residuals(basis, rng) -> tuple[float, float]:
+    """verify's canonical and slack residuals at one size, from one draw.
+
+    A draw of 5 + 200 rows consumes the stream as a draw of 5 and then one of
+    200 do; only a degenerate row among the first 5 (probability about 0 for
+    Gaussian rows) would be replaced after all 205 instead.  The rows are freed
+    on return, before the next size is built.
+    """
+    xs = random_unit_zero_mean_rows(basis.n, 205, rng)
+    return float(canonical_residuals(xs[:5], basis).max()), max_violation(xs[5:])
+
+
 def _cmd_verify(cfg) -> int:
     thresholds = dict(VERIFY_THRESHOLDS)
     if cfg.tol is not None:
@@ -292,21 +317,11 @@ def _cmd_verify(cfg) -> int:
     residuals = {name: 0.0 for name in thresholds}
     for n in cfg.ns:
         basis = build_basis(n)
-        gram = np.abs(basis.vectors @ basis.vectors.T - np.eye(n)).max()
-        residuals["gram"] = max(residuals["gram"], float(gram))
+        residuals["gram"] = max(residuals["gram"], _gram_residual(basis.vectors))
         residuals["action"] = max(residuals["action"], verify_action(basis))
-
-        for x in random_unit_zero_mean_rows(n, 5, rng):
-            corr = cyclic_correlation(x)
-            form = canonical_form(coordinates(x, basis), basis)
-            # the roundoff in form - corr is absolute (about eps*|x|^2), so below
-            # |corr| = 1e-3 the check turns absolute instead of measuring roundoff
-            rel = abs(form - corr) / max(abs(corr), 1e-3)
-            residuals["canonical"] = max(residuals["canonical"], rel)
-
-        worst_violation = max_violation(random_unit_zero_mean_rows(n, 200, rng))
-        residuals["slack"] = max(residuals["slack"], worst_violation)
-
+        canonical, violation = _random_residuals(basis, rng)
+        residuals["canonical"] = max(residuals["canonical"], canonical)
+        residuals["slack"] = max(residuals["slack"], violation)
         value, _ = oracle_max(n)
         residuals["oracle"] = max(residuals["oracle"], abs(value - discrete_bound(n)))
 

@@ -70,7 +70,8 @@ def fsum_rows(x) -> np.ndarray:
     lies within |t| + bound of r.  r is the correctly rounded sum, as fsum's is,
     when that is strictly less than half the spacing from |r| towards zero, the
     smaller of its two spacings.  Every other row (ties, zero sums, inf, NaN,
-    sums that may overflow) goes through math.fsum.
+    sums that may overflow) goes through math.fsum.  The tree's levels alternate
+    between two buffers, so no level is copied back.
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
@@ -78,14 +79,15 @@ def fsum_rows(x) -> np.ndarray:
         return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
     with np.errstate(all="ignore"):
         abs_sum = np.abs(x).sum(axis=1)
-        level = np.array(x.T, order="C")  # a copy: the tree sums in place
-        s_buf, v_buf, e_buf = np.empty((3, n // 2, m))
+        level = np.array(x.T, order="C")  # a copy: the tree writes over it
+        other = np.empty(((n + 1) // 2, m))
+        v_buf, e_buf = np.empty((2, n // 2, m))
         err = np.zeros(m)
         count = n
         while count > 1:
             h = count // 2
             a, b = level[:h], level[h:2 * h]
-            s, v, e = s_buf[:h], v_buf[:h], e_buf[:h]
+            s, v, e = other[:h], v_buf[:h], e_buf[:h]
             # TwoSum: s + e == a + b exactly
             np.add(a, b, out=s)
             np.subtract(s, a, out=v)
@@ -94,9 +96,9 @@ def fsum_rows(x) -> np.ndarray:
             np.subtract(b, v, out=v)
             np.add(e, v, out=e)
             err += e.sum(axis=0)
-            a[...] = s
             if count % 2:
-                level[h] = level[count - 1]
+                other[h] = level[count - 1]
+            level, other = other, level
             count = h + count % 2
         total = level[0]
         r = total + err
@@ -130,6 +132,11 @@ def cyclic_correlation(x) -> float:
     """Sum of x_j * x_{j-1} around the cycle, i.e. <X, shift(X)>."""
     v = as_samples(x)
     return fdot(v, np.roll(v, 1))
+
+
+def cyclic_correlation_rows(xs) -> np.ndarray:
+    """cyclic_correlation of every row of an (m, n) array, with its bits."""
+    return fsum_rows(xs * np.roll(xs, 1, axis=1))
 
 
 def center_normalize(x) -> np.ndarray:

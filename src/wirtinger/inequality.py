@@ -17,6 +17,7 @@ from .core import (
     _require_size,
     as_samples,
     cyclic_correlation,
+    cyclic_correlation_rows,
     fdot,
     fsum,
     fsum_rows,
@@ -92,6 +93,29 @@ def check_inequality(x) -> InequalityReport:
     return InequalityReport(
         n=v.size, correlation=corr, bound=bound, slack=slack, satisfied=slack >= -SLACK_TOL
     )
+
+
+def check_inequality_rows(xs) -> np.ndarray:
+    """check_inequality's slack for every row of an (m, n) array, with its bits.
+
+    Raises what check_inequality raises on the first row on which it raises.
+    A row that it accepts has |x_j| <= 1 + 1e-10, so a row with a larger or
+    non-finite entry is one it rejects, and the rows before that one sum
+    without overflow.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.size == 0:
+        raise ValueError("need a non-empty (m, n) array of sample vectors")
+    n = xs.shape[1]
+    if n < 4:
+        check_inequality(xs[0])  # raises InvalidSize, or NonFinite before it
+    wild = ~(np.abs(xs).max(axis=1) <= 2.0)  # written so that NaN is wild
+    tame = xs[:np.argmax(wild)] if wild.any() else xs
+    mean, norm_sq = fsum_rows(tame) / n, fsum_rows(np.square(tame))
+    failing = (np.abs(mean) > CONSTRAINT_TOL) | (np.abs(norm_sq - 1.0) > CONSTRAINT_TOL)
+    if failing.any() or len(tame) < len(xs):
+        check_inequality(xs[np.argmax(failing) if failing.any() else len(tame)])  # raises
+    return discrete_bound(n) - cyclic_correlation_rows(xs)
 
 
 class OracleResult(NamedTuple):
@@ -206,7 +230,7 @@ def max_violation(xs) -> float:
     A numpy sum of n products errs by at most gamma_n * sum|terms| (Higham, ch. 3),
     and a unit row has sum|x_j x_{j-1}| <= |x|^2 and sum|x_j| <= sqrt(n)|x|.  Rows whose
     margins clear 2*n*eps (>= 4 gamma_n, room for the roundings of the margins themselves)
-    times those bounds are decided; check_inequality redoes the rest.
+    times those bounds are decided; check_inequality_rows redoes the rest.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.size == 0:
@@ -222,7 +246,5 @@ def max_violation(xs) -> float:
         & (np.abs(xs.sum(axis=1)) + gamma * np.sqrt(n * norm_sq) <= n * CONSTRAINT_TOL)
         & (slack > gamma * norm_sq)
     )
-    worst = 0.0
-    for i in np.flatnonzero(~decided):
-        worst = max(worst, -check_inequality(xs[i]).slack)
-    return worst
+    undecided = xs[~decided]
+    return max(0.0, -float(check_inequality_rows(undecided).min())) if len(undecided) else 0.0

@@ -19,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, _require_rotation_block, _require_size, as_samples
-from .errors import DimensionMismatch
+from .core import (
+    TWO_PI,
+    _require_rotation_block,
+    _require_size,
+    as_samples,
+    cyclic_correlation_rows,
+    fsum_rows,
+)
+from .errors import DimensionMismatch, NonFinite
 
 
 @dataclass(frozen=True)
@@ -79,10 +86,10 @@ def build_basis(n: int) -> CyclicBasis:
     """Construct the explicit shift-adapted orthonormal basis for R^n, n >= 4.
 
     Angles are evaluated as 2*pi*((j*k) mod n)/n so periodicity stays exact
-    for large j*k.  All rotation rows are filled at once: the angles are
-    written into the sine rows, the cosine rows are taken from them, and the
-    sine rows are then overwritten in place, so the only temporary is the
-    (j*k) mod n table.
+    for large j*k.  So every rotation entry is amplitude * cos or sin of one
+    of the n angles 2*pi*m/n: both are tabulated once, and all rotation rows
+    are gathered from the tables through the (j*k) mod n table.  The
+    temporaries are that table and the two length-n tables.
     """
     blocks = block_layout(n)
     j = np.arange(n)
@@ -91,17 +98,21 @@ def build_basis(n: int) -> CyclicBasis:
     if n % 2 == 0:
         vectors[1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
     amplitude = math.sqrt(2.0 / n)
+    angles = (TWO_PI / n) * j
     first = _first_rotation_row(n)
-    cos_rows, sin_rows = vectors[first::2], vectors[first + 1::2]
     phase = np.multiply.outer(np.arange(1, (n - 1) // 2 + 1), j)
     np.remainder(phase, n, out=phase)
-    np.multiply(TWO_PI / n, phase, out=sin_rows)
-    np.cos(sin_rows, out=cos_rows)
-    np.multiply(amplitude, cos_rows, out=cos_rows)
-    np.sin(sin_rows, out=sin_rows)
-    np.multiply(amplitude, sin_rows, out=sin_rows)
+    # mode="clip" skips the bounds check and the buffered copy that "raise" makes
+    np.take(amplitude * np.cos(angles), phase, out=vectors[first::2], mode="clip")
+    np.take(amplitude * np.sin(angles), phase, out=vectors[first + 1::2], mode="clip")
     vectors.flags.writeable = False
     return CyclicBasis(n=n, vectors=vectors, blocks=blocks)
+
+
+def _block_cosines(basis: CyclicBasis) -> np.ndarray:
+    """cos(angle) of every rotation block, as a column."""
+    rotations = basis.blocks[_first_rotation_row(basis.n):]
+    return np.array([math.cos(b.angle) for b in rotations])[:, None]
 
 
 def action_residuals(basis: CyclicBasis) -> dict[int, float]:
@@ -110,25 +121,25 @@ def action_residuals(basis: CyclicBasis) -> dict[int, float]:
     The whole basis is shifted once.  On a rotation block the predicted image
     is the rotation by +angle:
     shift(e_cos) = cos*e_cos + sin*e_sin, shift(e_sin) = -sin*e_cos + cos*e_sin.
-    All rotation blocks are taken at once.  Each residual row's norm is
-    sqrt(r.dot(r)), as np.linalg.norm takes it for a 1-D array; a norm along
-    an axis would sum in another order and move the last digits.
+    All blocks are taken at once.  Each residual row's norm is sqrt(r.dot(r)),
+    as np.linalg.norm takes it for a 1-D array; a stacked (1, n) @ (n, 1)
+    matmul calls the same BLAS dot for every row, while a norm along an axis
+    would sum in another order and move the last digits.
     """
     v = basis.vectors
-    shifted = np.roll(v, 1, axis=1)
+    residual = np.roll(v, 1, axis=1)
     first = _first_rotation_row(basis.n)
     fixed, rotations = basis.blocks[:first], basis.blocks[first:]
     cos_rows, sin_rows = v[first::2], v[first + 1::2]
-    c = np.array([[math.cos(b.angle)] for b in rotations])
-    s = np.array([[math.sin(b.angle)] for b in rotations])
-    cos_residual = shifted[first::2] - (c * cos_rows + s * sin_rows)
-    sin_residual = shifted[first + 1::2] - (-s * cos_rows + c * sin_rows)
-    out = {}
-    for b in fixed:
-        r = shifted[b.index] - b.eigenvalue * v[b.index]
-        out[b.k] = math.sqrt(r.dot(r))
-    for b, rc, rs in zip(rotations, cos_residual, sin_residual):
-        out[b.k] = max(math.sqrt(rc.dot(rc)), math.sqrt(rs.dot(rs)))
+    c = _block_cosines(basis)
+    s = np.array([math.sin(b.angle) for b in rotations])[:, None]
+    residual[:first] -= np.array([b.eigenvalue for b in fixed])[:, None] * v[:first]
+    residual[first::2] -= c * cos_rows + s * sin_rows
+    residual[first + 1::2] -= -s * cos_rows + c * sin_rows
+    norms = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])).ravel()
+    out = {b.k: float(norms[b.index]) for b in fixed}
+    out.update(zip((b.k for b in rotations),
+                   np.maximum(norms[first::2], norms[first + 1::2]).tolist()))
     return out
 
 
@@ -155,14 +166,44 @@ def canonical_form(y, basis: CyclicBasis) -> float:
     yv = as_samples(y)
     if yv.size != basis.n:
         raise DimensionMismatch(f"coordinate vector has length {yv.size}, basis has n={basis.n}")
+    return float(_canonical_forms(yv[None, :], basis)[0])
+
+
+def _canonical_forms(ys: np.ndarray, basis: CyclicBasis) -> np.ndarray:
+    """canonical_form of every row of an (m, n) array of coordinates."""
     # Python's y ** 2 is the C library's pow(y, 2.0), which rounds differently
-    # from numpy's y * y for about 1 value in 1000 (glibc); the form keeps pow's bits.
-    squares = np.array([t ** 2 for t in yv.tolist()])
+    # from numpy's y * y for about 1 value in 1000 (glibc); the form keeps pow's
+    # bits.  np.float_power calls that pow on every entry; np.power does not.
+    squares = np.float_power(ys, 2.0)
     first = _first_rotation_row(basis.n)
-    cosines = np.array([math.cos(b.angle) for b in basis.blocks[first:]])
-    terms = [squares[0]] if first == 1 else [squares[0], -squares[1]]
-    terms += (cosines * (squares[first::2] + squares[first + 1::2])).tolist()
-    return math.fsum(terms)
+    terms = np.empty((len(ys), first + (basis.n - 1) // 2))
+    terms[:, 0] = squares[:, 0]
+    if first == 2:
+        terms[:, 1] = -squares[:, 1]
+    np.multiply(_block_cosines(basis).T, squares[:, first::2] + squares[:, first + 1::2],
+                out=terms[:, first:])
+    return fsum_rows(terms)
+
+
+def canonical_residuals(xs, basis: CyclicBasis) -> np.ndarray:
+    """|form - corr| / max(|corr|, 1e-3) for each row x of an (m, n) array.
+
+    form is canonical_form(coordinates(x, basis), basis) and corr is
+    cyclic_correlation(x), each with its bits.  The roundoff in form - corr is
+    absolute (about eps*|x|^2), so below |corr| = 1e-3 the measure turns
+    absolute instead of measuring roundoff.  Each row's coordinates come from
+    its own basis.vectors @ x: the product with all rows at once (gemm) rounds
+    differently from the matrix-vector one (gemv).
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != basis.n:
+        raise DimensionMismatch(f"need an (m, {basis.n}) array of sample vectors, got {xs.shape}")
+    if not np.all(np.isfinite(xs)):
+        raise NonFinite("sample vector entries must be finite")
+    ys = np.array([basis.vectors @ x for x in xs]).reshape(xs.shape)
+    form = _canonical_forms(ys, basis)
+    corr = cyclic_correlation_rows(xs)
+    return np.abs(form - corr) / np.maximum(np.abs(corr), 1e-3)
 
 
 def block_energies(x) -> np.ndarray:

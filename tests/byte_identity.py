@@ -10,6 +10,7 @@ that every output below is byte for byte the same.
 - `verify --n 4..160` on seeds 0..79, and `verify --n 4..512` on seeds 1 and 42;
 - `sweep` and `fourier` for each `--fn` function, `bounds` and `maximize`,
   all at their default `--n`;
+- `bounds --n 4..100003 --format jsonl`, the largest table `bounds` accepts;
 - `fourier --fn cubicodd --n 1024 --jmax 20`, whose harmonics span three
   quadrature groups, and the three `fourier --harmonics=... --n 16` calls
   whose quadrature fails at the rounding level (exit code and stderr);
@@ -99,6 +100,7 @@ def cli_outputs(root: Path, workdir: str) -> list:
         calls.append((f"sweep-{fn}", ["sweep", "--fn", fn]))
         calls.append((f"fourier-{fn}", ["fourier", "--fn", fn]))
     calls += [("bounds", ["bounds"]), ("maximize", ["maximize"])]
+    calls.append(("bounds-4..100003-jsonl", ["bounds", "--n", "4..100003", "--format", "jsonl"]))
     calls.append(("fourier-cubicodd-jmax20", ["fourier", "--fn", "cubicodd", "--n", "1024",
                                               "--jmax", "20"]))
     calls += [(f"fourier-fails-{h}", ["fourier", f"--harmonics={h}", "--n", "16"])

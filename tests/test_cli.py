@@ -154,6 +154,24 @@ def test_bounds_stdout(capsys):
     assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
 
 
+def test_bounds_writes_each_row_as_it_is_made(capsys, monkeypatch):
+    """By the time one size's row is computed, the rows before it are
+    written: bounds holds no table, whatever the number of sizes."""
+    from wirtinger import cli
+
+    original = cli.bound_comparison
+    new_lines = []
+
+    def comparing(n):
+        new_lines.append(capsys.readouterr().out.count("\n"))
+        return original(n)
+
+    monkeypatch.setattr(cli, "bound_comparison", comparing)
+    assert main(["bounds", "--n", "4..8"]) == 0
+    assert new_lines == [0, 2, 1, 1, 1]  # the header comes with the first row
+    assert capsys.readouterr().out.count("\n") == 1
+
+
 def test_bounds_file_byte_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["bounds", "--n", "4..64", "--out", str(p1)]) == 0

@@ -12,6 +12,7 @@ from wirtinger import (
     NonFinite,
     center_normalize,
     cyclic_correlation,
+    cyclic_correlation_rows,
     shift,
 )
 from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, fdot, fsum_rows
@@ -159,6 +160,30 @@ INF = math.inf
 def test_fsum_rows_pinned_cases(rows, raises):
     outcome = _assert_fsum_rows_bits_on_both_routes(rows)
     assert (outcome[0] if isinstance(outcome, tuple) else None) is raises
+
+
+@pytest.mark.parametrize("n", [2**k + d for k in range(1, 13) for d in (-1, 1)])
+def test_fsum_rows_odd_counts_at_every_level(n):
+    """A row of 2^k + 1 entries has an odd count at every level of the tree,
+    so its last entry is carried up to the top; at 2^k - 1 only the first
+    level is odd.  k = 12 puts a single row on either side of the
+    whole-array threshold, and the padding takes every n past it."""
+    rows = np.random.default_rng(n).standard_normal((5, n))
+    rows[1, 0], rows[1, -1] = 1e16, -1e16  # cancels across the carried entry
+    rows[2] = 0.0
+    rows[2, 0], rows[2, -1] = 1.0, 2.0**-53  # a half-ulp tie that only the carry adds
+    rows[3, -1] = 2.0**60  # the carried entry dominates
+    rows[4] = np.ldexp(rows[4], 900)
+    rows[4, -1] = -rows[4, :-1].sum()  # cancels all the rest, up to rounding
+    _assert_fsum_rows_bits_on_both_routes(rows)
+
+
+@pytest.mark.parametrize("m, n", [(5, 8), (205, 19), (205, 20), (3, 4096)])
+def test_cyclic_correlation_rows_matches_per_row_bits(m, n):
+    """Each row gets cyclic_correlation's bits, on both fsum_rows routes."""
+    xs = np.random.default_rng([m, n]).standard_normal((m, n))
+    want = np.array([cyclic_correlation(x) for x in xs])
+    assert cyclic_correlation_rows(xs).tobytes() == want.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

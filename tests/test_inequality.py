@@ -18,6 +18,7 @@ from wirtinger import (
     bound_comparison,
     center_normalize,
     check_inequality,
+    check_inequality_rows,
     cyclic_correlation,
     discrete_bound,
     extremal_span_residual,
@@ -159,6 +160,20 @@ def test_rows_match_per_row_fsum_bits(m):
             assert rng_rows.standard_normal(2).tobytes() == rng_ref.standard_normal(2).tobytes()
 
 
+@pytest.mark.parametrize("n", [4, 19, 20, 21, 160, 512])
+def test_one_draw_of_205_rows_equals_5_then_200(n):
+    """verify draws its 5 canonical and 200 slack rows in one call.  That gives
+    the rows of a draw of 5 and then one of 200, bit for bit, and leaves the
+    generator in the same state.  205 rows take fsum_rows' whole-array route
+    from n = 20 on and 200 rows from n = 21 on; 5 rows never do below 820."""
+    rng_one, rng_two = np.random.default_rng([n, 205]), np.random.default_rng([n, 205])
+    one = random_unit_zero_mean_rows(n, 205, rng_one)
+    two = np.concatenate([random_unit_zero_mean_rows(n, 5, rng_two),
+                          random_unit_zero_mean_rows(n, 200, rng_two)])
+    assert one.tobytes() == two.tobytes()
+    assert rng_one.bit_generator.state == rng_two.bit_generator.state
+
+
 class RowQueue:
     """Stands in for a Generator: standard_normal serves queued rows in order."""
 
@@ -184,6 +199,60 @@ def test_rows_redraw_degenerate_row():
     seq = np.array([random_unit_zero_mean_per_vector(n, seq_rng) for _ in range(5)])
     assert rows.tobytes() == seq.tobytes()
     assert rows_rng.served == seq_rng.served == 6
+
+
+def _slack_outcome(f, xs):
+    """The bytes of the slacks f gives, or the type and message of what it raises."""
+    try:
+        return np.asarray(f(xs), dtype=float).tobytes()
+    except (ValueError, OverflowError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _slacks_per_row(xs):
+    return [check_inequality(x).slack for x in xs]
+
+
+def test_check_inequality_rows_matches_per_row_bits():
+    """Random rows on both fsum_rows routes, and extremal rows, whose slacks
+    have both signs at the rounding level."""
+    rng = np.random.default_rng(23)
+    for n in (4, 5, 17, 64, 160, 512):
+        for m in (1, 5, 200):
+            xs = random_unit_zero_mean_rows(n, m, rng)
+            assert check_inequality_rows(xs).tobytes() == np.array(_slacks_per_row(xs)).tobytes()
+    for n in range(4, 65):
+        r = math.sqrt(2.0 / n)
+        xs = np.array([extremal_vector(n, r * math.cos(t), r * math.sin(t))
+                       for t in np.linspace(0.0, TWO_PI, 25)])
+        assert check_inequality_rows(xs).tobytes() == np.array(_slacks_per_row(xs)).tobytes()
+
+
+def test_check_inequality_rows_raises_as_the_first_failing_row():
+    """Whatever check_inequality raises on the first row it rejects, with the
+    same message, whichever rows follow."""
+    xs = random_unit_zero_mean_rows(8, 6, np.random.default_rng(5))
+    scaled, shifted, nan, huge, overflow = (xs.copy() for _ in range(5))
+    scaled[2] *= 1.0 + 1e-9
+    shifted[1] += 1e-9
+    nan[3, 5] = np.nan
+    huge[4] *= 3.0
+    overflow[1, :3] = [1e308, 1e308, -1e308]  # math.fsum overflows on this row
+    cases = [scaled, shifted, nan, huge, overflow]
+    cases.append(np.concatenate([shifted[:2], scaled[2:]]))  # two violations, two messages
+    cases.append(np.concatenate([scaled[:3], nan[3:]]))  # a violation, then a NaN
+    cases.append(np.concatenate([nan[3:], scaled[:3]]))  # a NaN, then a violation
+    cases.append(np.concatenate([huge[4:], overflow]))  # wild rows that fail differently
+    cases.append(xs[:, :3])  # n < 4
+    cases.append(np.where(np.arange(3)[None, :] == 0, np.inf, xs[:, :3]))  # n < 4, not finite
+    for rows in cases:
+        want = _slack_outcome(_slacks_per_row, rows)
+        assert isinstance(want, tuple)
+        assert _slack_outcome(check_inequality_rows, rows) == want
+    with pytest.raises(ValueError):
+        check_inequality_rows(xs[0])
+    with pytest.raises(ValueError):
+        check_inequality_rows(xs[:0])
 
 
 def _max_violation_per_row(xs) -> float:

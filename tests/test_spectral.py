@@ -21,8 +21,10 @@ from wirtinger import (
     BlockOutOfRange,
     DimensionMismatch,
     InvalidSize,
+    NonFinite,
     build_basis,
     canonical_form,
+    canonical_residuals,
     coordinates,
     cyclic_correlation,
     shift,
@@ -135,6 +137,46 @@ def test_canonical_form_matches_rebuilt_layout_bits():
         for _ in range(3):
             y = rng.standard_normal(n)
             assert canonical_form(y, basis) == canonical_form_from_layout(y, n), n
+
+
+def test_canonical_form_keeps_pow_bits():
+    """Coordinates whose y * y rounds differently from Python's y ** 2 give
+    the form of y ** 2, on every block kind."""
+    ys = np.random.default_rng(3).standard_normal(20_000)
+    ys = ys[ys * ys != np.array([t ** 2 for t in ys.tolist()])]
+    assert ys.size > 5
+    for n in (8, 9, 64):
+        y = np.resize(ys, n)
+        assert canonical_form(y, build_basis(n)) == canonical_form_from_layout(y, n), n
+
+
+def test_canonical_residuals_match_per_vector_bits():
+    """Each row's residual has the bits of coordinates, canonical_form and
+    cyclic_correlation taken one vector at a time.  Two rows have |corr|
+    below the 1e-3 floor: a single spike (corr = 0) and a row scaled by 1e-3."""
+    rng = np.random.default_rng(29)
+    for n in BIT_SIZES:
+        basis = build_basis(n)
+        xs = rng.standard_normal((5, n))
+        xs[0] = np.where(np.arange(n) == n // 3, 0.7, 0.0)
+        xs[1] *= 1e-3
+        want = []
+        for x in xs:
+            corr = cyclic_correlation(x)
+            form = canonical_form(coordinates(x, basis), basis)
+            want.append(abs(form - corr) / max(abs(corr), 1e-3))
+        assert canonical_residuals(xs, basis).tobytes() == np.array(want).tobytes(), n
+
+
+def test_canonical_residuals_rejects_bad_rows():
+    basis = build_basis(6)
+    with pytest.raises(DimensionMismatch):
+        canonical_residuals(np.ones((2, 5)), basis)
+    with pytest.raises(DimensionMismatch):
+        canonical_residuals(np.ones(6), basis)
+    with pytest.raises(NonFinite):
+        canonical_residuals(np.array([[1.0, 0, 0, 0, 0, math.inf]]), basis)
+    assert canonical_residuals(np.empty((0, 6)), basis).shape == (0,)
 
 
 def test_canonical_form_dimension_mismatch():
