@@ -348,7 +348,7 @@ COMMANDS = {
     "sweep": (_cmd_sweep, "8,16,32,64,128", "convergence table for a sampled periodic function"),
     "fourier": (_cmd_fourier, "257", "discrete vs quadrature Fourier coefficients"),
     "maximize": (_cmd_maximize, "4..64",
-                 "eigensolver maximum of the correlation form vs cos(2*pi/n)"),
+                 "Sturm-sequence Newton maximum of the correlation form vs cos(2*pi/n)"),
 }
 
 

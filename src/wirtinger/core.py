@@ -17,13 +17,16 @@ TWO_PI = 2.0 * math.pi
 # Centered vectors below this Euclidean norm are treated as zero.
 DEGENERATE_NORM = 1e-300
 
-# fsum_rows takes the whole-array route from this many entries (m*n) on, and
-# calls math.fsum row by row below it.  Measured on squared Gaussian rows
-# (whole-array time over row-by-row time, numpy 2.4, one Xeon core):
-# m=1: 1.31 at n=2048, 0.65 at n=4096; m=5: 0.89 at n=512, 0.57 at n=1024;
-# m=10, n=257: 1.00; m=20, n=160: 1.08; m=30, n=160: 0.48; m=200: 0.89 at
-# n=4, 0.14 at n=160; m=1000, n=4: 0.36.  The whole-array route costs about
-# 50 us however small the array, so 1- and 5-row calls stay on math.fsum.
+# fsum_rows takes the whole-array route from this many rows or this many entries
+# (m*n) on, and calls math.fsum row by row below both.  Measured on squared
+# Gaussian rows (whole-array time over row-by-row time, numpy 2.4, one Xeon
+# core): m=1: 1.31 at n=2048, 0.65 at n=4096; m=5: 12-13 at n=4..12, 0.89 at
+# n=512, 0.57 at n=1024; m=10, n=257: 1.00; m=20, n=160: 1.08; m=30, n=160:
+# 0.48; m=100: 1.3 at n=4, 1.0 at n=8, 0.45 at n=32; m=160: 1.0 at n=3..5, 0.7
+# at n=8; m=205: 0.7 at n=4, 0.4 at n=19; m=1000: 0.2-0.8 at n=1..4.  The
+# whole-array route costs about 50 us however small the array, and a row of
+# math.fsum about 0.25 us plus 0.05 us an entry.
+FSUM_ROWS_MIN_ROWS = 160
 FSUM_ROWS_MIN_ENTRIES = 4096
 # Rows whose sum of |entries| reaches this may overflow inside math.fsum, which
 # then raises; the whole-array route leaves them to it.
@@ -75,7 +78,7 @@ def fsum_rows(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
-    if m * n < FSUM_ROWS_MIN_ENTRIES:
+    if m < FSUM_ROWS_MIN_ROWS and m * n < FSUM_ROWS_MIN_ENTRIES:
         return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
     with np.errstate(all="ignore"):
         abs_sum = np.abs(x).sum(axis=1)

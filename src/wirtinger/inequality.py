@@ -32,6 +32,12 @@ SLACK_TOL = 1e-12
 # Largest n the eigensolver oracle accepts.
 ORACLE_MAX_N = 512
 EPS = sys.float_info.epsilon
+# LAPACK's pivot guard (dstebz's PIVMIN for off-diagonal squares below 1): the
+# smallest normal double
+PIVMIN = sys.float_info.min
+# oracle_max's Newton iteration takes at most 8 steps for n <= 512, the last of
+# which only confirms convergence
+NEWTON_MAX_STEPS = 16
 
 
 def discrete_bound(n: int) -> float:
@@ -123,6 +129,25 @@ class OracleResult(NamedTuple):
     argmax: np.ndarray
 
 
+def _sturm_ratios(diag, lam: float) -> tuple[list, float]:
+    """The Sturm ratios q_k = p_k/p_{k-1} of p_k(lam) = det(T_k - lam I), and p'/p at
+    k = m, for the m x m tridiagonal T with diagonal `diag` and 1/2 off it (T_k is its
+    leading k x k block, p_0 = 1).  With r = 1/(4 q_{k-1}), q_k = d_k - lam - r, and
+    p_k'/p_k is the sum of g_j = q_j'/q_j up to k, where g_k = (r g_{k-1} - 1)/q_k.
+    A ratio of magnitude below PIVMIN becomes -PIVMIN, LAPACK's tiny-pivot guard."""
+    ratios = []
+    q, g, log_derivative = math.inf, 0.0, 0.0
+    for d in diag:
+        r = 0.25 / q
+        q = d - lam - r
+        if -PIVMIN < q < PIVMIN:
+            q = -PIVMIN
+        g = (r * g - 1.0) / q
+        log_derivative += g
+        ratios.append(q)
+    return ratios, log_derivative
+
+
 def oracle_max(n: int) -> OracleResult:
     """Maximum of the correlation form <x, Sx> on the mean-zero unit sphere, by eigensolver.
 
@@ -135,23 +160,55 @@ def oracle_max(n: int) -> OracleResult:
     top eigenvalue of S on the odd vectors (e_j - e_{-j})/sqrt2, j = 1..m = (n-1)//2.
     There S is the m x m tridiagonal T with zero diagonal and 1/2 off it, plus
     T[m-1, m-1] = -1/2 for odd n, where e_m and e_{-m} are neighbours.  No cosine is
-    used, so agreement with discrete_bound is a genuine cross-check.  T's top
-    eigenvector w gives the argmax x[j] = w[j-1]/sqrt2 = -x[n-j], j = 1..m, 0 elsewhere.
+    used, so agreement with discrete_bound is a genuine cross-check.
+
+    The eigensolver is Newton's method on p(lam) = det(T - lam I) in O(m) pure Python,
+    with no m x m array and no LAPACK call: p'/p is the sum of dq_k/q_k over the Sturm
+    ratios.  T is irreducible, so its eigenvalues are real and simple, and every row has
+    |diagonal| + off-diagonal sum <= 1, so by Gershgorin lam = 1 lies above them all.
+    From there the iterates fall monotonically onto the largest; they stop when a step
+    no longer lowers lam or is no larger than the pivot guard (lam is then a root to
+    working precision), after at most 8 steps for n <= 512.  T's top eigenvector w comes
+    from one inverse-iteration solve (T - lam I)w = q_{m-1} 1 by the Thomas algorithm,
+    whose pivots are the Sturm ratios; the right-hand side is scaled by the last
+    pivot, which is near 0, so that w stays of order m.  The gate |Tw - lam w| <= 1e-12
+    is computed from the three diagonals.  w is positive (T + I is a nonnegative
+    irreducible matrix, so its Perron vector is T's top eigenvector), and gives the
+    argmax x[j] = w[j-1]/sqrt2 = -x[n-j], j = 1..m, 0 elsewhere.
     """
     _require_size(n)
     if n > ORACLE_MAX_N:
         raise InvalidSize(f"eigensolver oracle limited to n <= {ORACLE_MAX_N}, got {n}")
     m = (n - 1) // 2
-    t = 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
-    if n % 2:
-        t[m - 1, m - 1] = -0.5
-    values, vectors = np.linalg.eigh(t)
-    value, w = float(values[-1]), vectors[:, -1]
-    residual = float(np.linalg.norm(t @ w - value * w))
-    if residual > 1e-12:
+    diag = [0.0] * (m - 1) + [-0.5 if n % 2 else 0.0]
+    lam = 1.0
+    for _ in range(NEWTON_MAX_STEPS):
+        pivots, log_derivative = _sturm_ratios(diag, lam)
+        step = 1.0 / log_derivative
+        if not (step > PIVMIN and lam - step < lam):
+            break
+        lam -= step
+    else:
+        raise ConvergenceFailure(f"eigensolver: no convergence in {NEWTON_MAX_STEPS} Newton steps")
+    # Thomas algorithm on the pivots at lam: forward elimination, then back substitution
+    scale = pivots[-1]
+    y = [scale]
+    for u in pivots[:-1]:
+        y.append(scale - 0.5 * y[-1] / u)
+    w = [y[-1] / scale]
+    for yk, u in zip(y[-2::-1], pivots[-2::-1]):
+        w.append((yk - 0.5 * w[-1]) / u)
+    w.reverse()
+    norm = math.copysign(math.hypot(*w), w[0])
+    w = [v / norm for v in w]
+    padded = [0.0, *w, 0.0]
+    residual = math.hypot(*(0.5 * (left + right) + (d - lam) * v
+                            for left, v, right, d in zip(padded, w, padded[2:], diag)))
+    if not residual <= 1e-12:  # written so that NaN fails
         raise ConvergenceFailure(f"eigensolver residual {residual:.3e} exceeds 1e-12")
+    w = np.array(w)
     argmax = np.concatenate(([0.0], w, [0.0] * (1 - n % 2), -w[::-1])) / math.sqrt(2.0)
-    return OracleResult(value=value, argmax=argmax)
+    return OracleResult(value=lam, argmax=argmax)
 
 
 def extremal_span_residual(x) -> float:
@@ -205,7 +262,9 @@ def bound_comparison(n: int) -> BoundComparison:
     return BoundComparison(lhs=discrete_bound(n), rhs=piecewise_bound(n), margin=margin)
 
 
-def random_unit_zero_mean_rows(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+# rng's annotation is a string: evaluated at import, it would load numpy.random
+# (about 10 ms) for every command, including those that never draw
+def random_unit_zero_mean_rows(n: int, m: int, rng: "np.random.Generator") -> np.ndarray:
     """m uniform-direction random vectors on the mean-zero unit sphere, as an (m, n) array.
 
     One standard_normal((m, n)) draw gives the same numbers as m draws of

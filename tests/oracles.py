@@ -8,8 +8,9 @@ inner products for Fourier coefficients, numpy dot products for trig
 polynomials, one vector at a time for `verify`, one basis vector and a
 rebuilt block layout at a time for the spectral kernels, one block at a time
 for the basis, one math.fsum per row for the random rows, the dense shift
-matrix `shift_matrix` and the deflated n x n eigensolver `oracle_max_dense`
-for the oracle, depth-first recursion with one integrand call per point for
+matrix `shift_matrix`, the deflated n x n eigensolver `oracle_max_dense` and
+LAPACK `eigh` on the dense odd-part tridiagonal `oracle_max_eigh` for the
+oracle, depth-first recursion with one integrand call per point for
 adaptive Simpson, a math.cos/math.sin loop per point for trigonometric
 polynomials, and `project` onto the rows of the dense basis for the block
 energies): they are kept here as the reference the fast route must match.
@@ -311,6 +312,23 @@ def oracle_max_dense(n: int) -> OracleResult:
     if residual > 1e-12:
         raise ConvergenceFailure(f"eigensolver residual {residual:.3e} exceeds 1e-12")
     return OracleResult(value=value, argmax=vec)
+
+
+def oracle_max_eigh(n: int) -> OracleResult:
+    """oracle_max by LAPACK `eigh` on the dense m x m odd-part tridiagonal T
+    (m = (n-1)//2: zero diagonal, 1/2 off it, T[m-1, m-1] = -1/2 for odd n),
+    with the same argmax construction and residual gate."""
+    m = (n - 1) // 2
+    t = 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
+    if n % 2:
+        t[m - 1, m - 1] = -0.5
+    values, vectors = np.linalg.eigh(t)
+    value, w = float(values[-1]), vectors[:, -1]
+    residual = float(np.linalg.norm(t @ w - value * w))
+    if residual > 1e-12:
+        raise ConvergenceFailure(f"eigensolver residual {residual:.3e} exceeds 1e-12")
+    argmax = np.concatenate(([0.0], w, [0.0] * (1 - n % 2), -w[::-1])) / math.sqrt(2.0)
+    return OracleResult(value=value, argmax=argmax)
 
 
 def verify_residuals_per_vector(ns, seed: int) -> dict:

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import verify_residuals_per_vector
 
@@ -57,6 +58,23 @@ def test_verify_matches_per_vector_reference(seed, tmp_path, capsys):
     assert out.read_bytes() == "".join(lines).encode()
     assert capsys.readouterr().out == "".join(printed)
     assert rc == 0
+
+
+@pytest.mark.parametrize("index, rc", [(4, 0), (5, 1), (204, 1)])
+def test_verify_slack_checks_rows_5_to_204(index, rc, monkeypatch, capsys):
+    """Of each size's 205 rows, the first 5 go to the canonical check and
+    the other 200 to the slack check.  A finite row of norm 2 is rejected
+    there (numerical failure, exit 1) and passes the canonical check, whose
+    measure is relative, so the row at `index` shows which rows the slack
+    check reads."""
+    from wirtinger import cli, random_unit_zero_mean_rows
+
+    xs = random_unit_zero_mean_rows(8, 205, np.random.default_rng(3))
+    xs[index] *= 2.0
+    monkeypatch.setattr(cli, "random_unit_zero_mean_rows", lambda n, m, rng: xs.copy())
+    assert main(["verify", "--n", "8"]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: constraints not met") if rc else err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -459,3 +477,16 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
         runs.append(result)
     assert all(r["rc"] == 0 for r in runs[0].values())
     assert [c for c in runs[0] if runs[0][c] != runs[1][c]] == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Importing the package and its CLI loads no numpy.random (about 10 ms):
+    only `verify` draws random vectors, so no other command pays for it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, wirtinger, wirtinger.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

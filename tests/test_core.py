@@ -15,7 +15,7 @@ from wirtinger import (
     cyclic_correlation_rows,
     shift,
 )
-from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, fdot, fsum_rows
+from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, FSUM_ROWS_MIN_ROWS, fdot, fsum_rows
 
 REL_TOL = 1e-13
 
@@ -125,12 +125,18 @@ def _fsum_each_row(x) -> np.ndarray:
 
 def _assert_fsum_rows_bits_on_both_routes(rows):
     """fsum_rows gives math.fsum's bits, or raises as it does, on `rows` as
-    given and padded with random rows past the whole-array threshold.
-    Returns math.fsum's outcome on `rows`."""
+    given, padded with random rows past the whole-array entry threshold, and
+    padded to one row below and to the whole-array row threshold.  Returns
+    math.fsum's outcome on `rows`."""
     rows = np.asarray(rows, dtype=float)
-    padding = -(-FSUM_ROWS_MIN_ENTRIES // rows.shape[1])
-    filler = np.random.default_rng(rows.shape[1]).standard_normal((padding, rows.shape[1]))
-    for x in (rows, np.concatenate([filler, rows, filler])):
+    m, n = rows.shape
+    past_entries = -(-FSUM_ROWS_MIN_ENTRIES // n)
+    filler = np.random.default_rng(n).standard_normal((max(past_entries, FSUM_ROWS_MIN_ROWS), n))
+    padded = [np.concatenate([filler[:past_entries], rows, filler[:past_entries]])]
+    for total in (FSUM_ROWS_MIN_ROWS - 1, FSUM_ROWS_MIN_ROWS):
+        if total > m:
+            padded.append(np.concatenate([rows, filler[:total - m]]))
+    for x in (rows, *padded):
         assert _fsum_outcome(fsum_rows, x) == _fsum_outcome(_fsum_each_row, x)
     return _fsum_outcome(_fsum_each_row, rows)
 
@@ -160,6 +166,25 @@ INF = math.inf
 def test_fsum_rows_pinned_cases(rows, raises):
     outcome = _assert_fsum_rows_bits_on_both_routes(rows)
     assert (outcome[0] if isinstance(outcome, tuple) else None) is raises
+
+
+@pytest.mark.parametrize("m, n, whole", [
+    (FSUM_ROWS_MIN_ROWS - 1, 4, False),
+    (FSUM_ROWS_MIN_ROWS, 4, True),
+    (205, 8, True),  # verify's draw at n = 8
+    (5, FSUM_ROWS_MIN_ENTRIES // 5, False),
+    (5, FSUM_ROWS_MIN_ENTRIES // 5 + 1, True),
+])
+def test_fsum_rows_route_by_rows_and_entries(m, n, whole, monkeypatch):
+    """Below both thresholds every row goes through math.fsum; from either one
+    on, the whole-array route certifies most random rows without it."""
+    x = np.random.default_rng(m * n).standard_normal((m, n))
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or fsum(row))
+    assert fsum_rows(x).tobytes() == _fsum_each_row(x).tobytes()
+    del calls[-m:]  # the reference's own calls
+    assert (len(calls) < m) is whole
 
 
 @pytest.mark.parametrize("n", [2**k + d for k in range(1, 13) for d in (-1, 1)])

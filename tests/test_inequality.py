@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from oracles import (
     harmonic_span_residual,
     oracle_max_dense,
+    oracle_max_eigh,
     random_unit_zero_mean_per_vector,
     random_unit_zero_mean_rows_per_row,
 )
 
 from wirtinger import (
     ConstraintViolation,
+    ConvergenceFailure,
     InvalidSize,
     NonFinite,
     bound_comparison,
@@ -28,6 +30,7 @@ from wirtinger import (
     piecewise_bound,
     random_unit_zero_mean_rows,
 )
+from wirtinger import inequality
 
 SLACK_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -164,8 +167,9 @@ def test_rows_match_per_row_fsum_bits(m):
 def test_one_draw_of_205_rows_equals_5_then_200(n):
     """verify draws its 5 canonical and 200 slack rows in one call.  That gives
     the rows of a draw of 5 and then one of 200, bit for bit, and leaves the
-    generator in the same state.  205 rows take fsum_rows' whole-array route
-    from n = 20 on and 200 rows from n = 21 on; 5 rows never do below 820."""
+    generator in the same state.  205 and 200 rows take fsum_rows' whole-array
+    route at every n (they are at least FSUM_ROWS_MIN_ROWS); 5 rows do from
+    n = 820 on."""
     rng_one, rng_two = np.random.default_rng([n, 205]), np.random.default_rng([n, 205])
     one = random_unit_zero_mean_rows(n, 205, rng_one)
     two = np.concatenate([random_unit_zero_mean_rows(n, 5, rng_two),
@@ -373,14 +377,51 @@ def test_oracle_max_matches_dense_eigensolver():
         assert harmonic_span_residual(dense.argmax) <= 1e-8, n
 
 
+def test_oracle_max_matches_eigh_on_the_tridiagonal():
+    """The Sturm-sequence Newton oracle agrees with LAPACK eigh on the same
+    dense tridiagonal: the value within 16 eps, the argmax within 1e-12 up to
+    the eigenvector's sign."""
+    for n in range(4, 129):
+        fast, dense = oracle_max(n), oracle_max_eigh(n)
+        assert abs(fast.value - dense.value) <= 16 * 2.0**-52, n
+        sign = math.copysign(1.0, float(fast.argmax @ dense.argmax))
+        assert np.abs(fast.argmax - sign * dense.argmax).max() <= 1e-12, n
+
+
 def test_oracle_max_matches_mpmath_cos():
-    """The eigensolver maximum is within 16 eps of a 40-digit cos(2*pi/n)."""
+    """The eigensolver maximum is within 16 eps of a 40-digit cos(2*pi/n) over
+    the oracle's whole range."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        for n in range(4, 129):
+        for n in range(4, 513):
             exact = mpmath.cos(2 * mpmath.pi / n)
             error = abs(oracle_max(n).value - exact)
             assert error <= 16 * 2.0**-52, (n, float(error / 2.0**-52))
+
+
+def test_oracle_max_calls_no_lapack_and_builds_no_matrix(monkeypatch):
+    """The oracle runs with numpy's linear algebra and its matrix builders
+    made to raise: its only array is the argmax."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for name in ("eigh", "eigvalsh", "eig", "solve", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for name in ("eye", "diag", "zeros", "empty"):
+        monkeypatch.setattr(np, name, refuse)
+    for n in (4, 5, 160, 511, 512):
+        assert oracle_max(n).argmax.shape == (n,)
+
+
+def test_oracle_max_newton_step_cap(monkeypatch):
+    """Every n up to the cap converges within 8 Newton steps, and the cap
+    raises ConvergenceFailure when it is too small."""
+    monkeypatch.setattr(inequality, "NEWTON_MAX_STEPS", 8)
+    for n in range(4, 513):
+        oracle_max(n)
+    monkeypatch.setattr(inequality, "NEWTON_MAX_STEPS", 5)
+    with pytest.raises(ConvergenceFailure, match="5 Newton steps"):
+        oracle_max(64)
 
 
 def test_oracle_max_size_limits():
