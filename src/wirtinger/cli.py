@@ -58,6 +58,9 @@ HARMONICS_MAX_ABS_SUM = sys.float_info.max ** 0.5 / (2 * SAMPLE_MAX_N)
 # package takes (90 MiB when the rows were held).  The cap bounds the run time.
 # n itself is not capped: the margin is exact at n = 10^8.
 BOUNDS_MAX_SIZES = 100_000
+# sweep's time grows with its total samples: `sweep --n 1048576` takes about 1.1 s,
+# and four sizes of 2^20 about 3.7 s.  The cap bounds the run time.
+SWEEP_MAX_SAMPLES = 4 * SAMPLE_MAX_N
 
 # per-check residual thresholds for `verify`; a --tol override replaces all of them
 VERIFY_THRESHOLDS = {
@@ -164,6 +167,10 @@ def _make_config(args) -> argparse.Namespace:
         args.fn = _resolve_function(args)
         if largest > SAMPLE_MAX_N:
             raise ConfigError(f"{cmd} capped at n <= {SAMPLE_MAX_N}")
+    # a range's total from its ends and length; a repeated size runs once
+    total = (ns[0] + ns[-1]) * len(ns) // 2 if isinstance(ns, range) else sum(set(ns))
+    if cmd == "sweep" and total > SWEEP_MAX_SAMPLES:
+        raise ConfigError(f"sweep capped at {SWEEP_MAX_SAMPLES} samples in all, got {total}")
     if cmd == "bounds" and len(ns) > BOUNDS_MAX_SIZES:
         raise ConfigError(f"bounds capped at {BOUNDS_MAX_SIZES} sizes")
     if cmd == "fourier" and len(ns) != 1:

@@ -33,13 +33,16 @@ class PiecewiseLinear:
 
     knots: np.ndarray
     _grid: np.ndarray = field(init=False, repr=False)
+    _slope: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = as_samples(self.knots)
         _require_size(k.size)
         object.__setattr__(self, "knots", k)
-        # grid[m] holds the value at t = 2*pi*m/n, so grid[0] = grid[n] = x_n
-        object.__setattr__(self, "_grid", np.concatenate((k[-1:], k)))
+        # grid[m] holds the value at t = 2*pi*m/n: grid[0] = grid[n] = x_n, grid[n + 1] = x_1
+        grid = np.concatenate((k[-1:], k, k[:1]))
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_slope", grid[1:] - grid[:-1])
 
     @property
     def n(self) -> int:
@@ -57,10 +60,10 @@ class PiecewiseLinear:
             nearest = np.rint(u)
             below = np.floor(u)
             snapped = np.abs(u - nearest) <= KNOT_SNAP_ULPS * np.maximum(1.0, u)
-            left = np.where(snapped, nearest, below).astype(int) % self.n
+            left = np.where(snapped, nearest, below).astype(int)
             frac = np.where(snapped, 0.0, u - below)
-        lo = self._grid[left]
-        out = lo + frac * (self._grid[left + 1] - lo)
+        # u is in [0, n] unless t is not finite; then frac is NaN, whatever knot is clipped to
+        out = self._grid.take(left, mode="clip") + frac * self._slope.take(left, mode="clip")
         return float(out) if out.ndim == 0 else out
 
 

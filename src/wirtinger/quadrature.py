@@ -2,11 +2,11 @@
 
 Kept deliberately simple: smooth (or piecewise-smooth) periodic integrands
 at desk scale, absolute tolerance, Richardson-corrected estimates.
-Refinement is breadth-first: every open interval of one depth is bisected
-together, with one call of the integrand on an array of all their new
-points (Gander & Gautschi, BIT 40 (2000)).  Several integrals, given as
-arrays of bounds, or as the rows of one integrand, refine in one such
-frontier and share its budget.
+Refinement is breadth-first: the points of the forced depths take one call
+of the integrand, then every open interval of one depth is bisected
+together, with one call on an array of all their new points (Gander &
+Gautschi, BIT 40 (2000)).  Several integrals, given as the rows of one
+integrand, refine in one such frontier and share its budget.
 """
 
 from collections.abc import Callable
@@ -29,22 +29,20 @@ MAX_DEPTH = 52
 # The budget stops a frontier that doubles at every depth at depth 18, with
 # 262,144 open intervals and 50 MiB allocated at the peak, for any number of
 # components.  The largest count a passing call of the tests, demos or
-# benchmark takes is 262,160 (`fourier --fn cos1 --jmax 64`).  The intervals
-# of a batch share one budget, so its memory is bounded as one call's; a
-# batch that runs out redoes each interval alone, with a budget of its own,
-# so it passes and fails exactly where its intervals do alone.
+# benchmark takes is 262,160 (`fourier --fn cos1 --jmax 64`).  The forced
+# depths are checked as one call per depth would be, before their one call.
 EVAL_BUDGET = 2**20
 # Bisections forced before an interval may be accepted.  Guards against
 # integrands that happen to vanish on the coarse dyadic grid (e.g.
 # trigonometric products sampled at multiples of pi/2), which would
-# otherwise pass the error test instantly.
+# otherwise pass the error test instantly.  One call evaluates their points.
 MIN_DEPTH = 6
 
 _CONTRACT = "must take a 1-D float array and return values of the same shape"
 
 
-def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float | np.ndarray,
-                     b: float | np.ndarray, tol: float = 1e-10) -> float | np.ndarray:
+def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                     tol: float = 1e-10) -> float | np.ndarray:
     """Integrate f over [a, b] by adaptive Simpson bisection.
 
     Each interval is accepted or bisected by the same rule, and its pieces
@@ -56,89 +54,88 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float | np.ndarra
         f: Integrand, evaluated elementwise: it takes a 1-D float array t and
             returns values of the same shape (a scalar result is taken as
             a constant), or c components of shape (c, t.size).  It is called
-            once for the ends and the middles of the intervals, then once
-            per depth level.
-        a: Lower bound, or a 1-D array of lower bounds.
-        b: Upper bound, or a 1-D array of upper bounds of a's length.
-        tol: Absolute error tolerance of each integral, halved at each
+            once on the 4 * 2**MIN_DEPTH + 1 points that bisection reaches
+            through depth MIN_DEPTH, then once per deeper level with an
+            interval still open.
+        a: Lower bound.
+        b: Upper bound.
+        tol: Absolute error tolerance of the integral, halved at each
             subdivision.
 
     Returns:
-        The integral estimate (with Richardson correction); for arrays, an
-        array of one estimate per interval [a[i], b[i]], with the bits of
-        adaptive_simpson(f, a[i], b[i], tol).  All intervals refine in one
-        frontier and share one EVAL_BUDGET; if it runs out, or an interval
-        misses its tolerance, each interval is redone alone, in order, so
-        exactly the intervals that fail alone fail, with the same message.
-        For c components, c such results as rows: each component accepts or
-        bisects by its own test, so row i has the bits of component i alone;
-        sharing the budget, together they may fail where each alone passes.
+        The integral estimate (with Richardson correction).  For c
+        components, c such integrals as an array: each component accepts or
+        bisects by its own test, so entry i has the bits of component i
+        alone; sharing the budget, together they may fail where each alone
+        passes.
 
     Raises:
         TypeError: If f does not take an array, as a scalar-only callable
             such as math.sin does not.
-        ValueError: If a and b are not scalars or 1-D arrays of one length.
+        ValueError: If a or b is not a scalar.
         QuadratureFailure: If an interval still misses its tolerance at
             MAX_DEPTH, or the open intervals need more than EVAL_BUDGET
             values.
     """
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if lo.shape != hi.shape or lo.ndim > 1:
-        raise ValueError(f"bounds must be scalars or 1-D arrays of one length, "
-                         f"got shapes {lo.shape} and {hi.shape}")
-    if lo.ndim == 0:
-        value = _integrals(f, lo[None], hi[None], tol)[..., 0]
-        return value if value.ndim else float(value)
-    try:
-        return _integrals(f, lo, hi, tol)
-    except QuadratureFailure:
-        if lo.size == 1:
-            raise
-    # outside the handler, whose traceback would keep the failed frontier alive
-    return np.concatenate([_integrals(f, lo[i : i + 1], hi[i : i + 1], tol)
-                           for i in range(lo.size)], axis=-1)
+    if lo.ndim or hi.ndim:
+        raise ValueError(f"bounds must be scalars, got shapes {lo.shape} and {hi.shape}; "
+                         f"for 1-D arrays of one length, integrate one interval per call")
+    if lo == hi:  # f's rows from a call on no points
+        value = np.zeros(_first_call(f, np.empty(0), rows=True).shape[:-1])
+    else:
+        flip = lo > hi  # the negated integral over [b, a]
+        value = _integral(f, *((hi, lo) if flip else (lo, hi)), tol)
+        value = -value if flip else value
+    return value if value.ndim else float(value)
 
 
-def _integrals(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """The integrals over [a[i], b[i]], refined in one frontier: one per
-    interval, or a row of them per component of f."""
-    flip = a > b  # the negated integral over [b, a]
-    live = np.flatnonzero(a != b)
-    lo, hi = np.where(flip, b, a)[live], np.where(flip, a, b)[live]
-    k = live.size
+def _integral(f, lo, hi, tol: float) -> np.ndarray:
+    """The integral over [lo, hi], lo < hi, as an array of f's rows."""
+    # The forced depths split every interval: their points are the recursive
+    # midpoints of [lo, hi], the 2**MIN_DEPTH intervals of depth MIN_DEPTH in
+    # order with their middles and quarter-points.  Checked for one component
+    # before the call, and for f's components after it.
+    for depth in range(MIN_DEPTH + 1):
+        _check_budget((4 << depth) + 1, depth, 1 << depth)
+    t = np.empty((4 << MIN_DEPTH) + 1)
+    t[0], t[-1] = lo, hi
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
-        ends = np.concatenate((lo, 0.5 * (lo + hi), hi))
-    # one first call on the lower ends, the middles and the upper ends: [a, m, b] for one
-    # (on no points if no interval is live: it tells f's rows)
-    first = _first_call(f, ends, rows=True)
-    rows = first.shape[:-1]  # (c,) for c components
-    evals, components = first.size, int(np.prod(rows))
+        for depth in range(MIN_DEPTH + 2):
+            step = (t.size - 1) >> depth
+            t[step // 2 :: step] = 0.5 * (t[:-1:step] + t[step::step])
+    values = _first_call(f, t, rows=True)
+    rows = values.shape[:-1]  # (c,) for c components
+    evals, components = values.size, int(np.prod(rows))
+    for depth in range(MIN_DEPTH + 1):
+        _check_budget(((4 << depth) + 1) * components, depth, 1 << depth)
     # The open intervals of one depth, along the last axis: `ends2` holds the
     # ends of all their left halves, then of all their right halves, [lo | mid]
-    # and [mid | hi], `fends2` f there, `whole` their Simpson estimates, and
-    # `refining` the components that failed the error test on every larger
-    # interval around them (True for a 1-D f); an interval is open while one does.
-    ends2 = np.concatenate((ends[: 2 * k], ends[k:]))
-    fends2 = np.concatenate((first[..., : 2 * k], first[..., k:]), axis=-1)
+    # and [mid | hi], `fends2` f there, `fm2` f at the halves' middles, `whole`
+    # their Simpson estimates, and `refining` the components that failed the
+    # error test on every larger interval around them (True for a 1-D f); an
+    # interval is open while one does.
+    j = np.arange(0, t.size - 1, 4)  # the first points of the intervals of depth MIN_DEPTH
+    k = j.size
+    ends = np.concatenate((j, j + 2, j + 2, j + 4))
+    ends2, fends2 = t.take(ends), values.take(ends, axis=-1)
+    mids = np.concatenate((j + 1, j + 3))
+    quarters, fm2 = t.take(mids), values.take(mids, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        whole = _simpson(first[..., :k], first[..., k : 2 * k], first[..., 2 * k :], hi - lo)
-        quarters = 0.5 * (ends2[: 2 * k] + ends2[2 * k :])
-    # per depth: the split intervals, the components that passed and their values
-    levels, depth, refining = [], 0, True
-    while k:
-        if evals + 2 * k * components > EVAL_BUDGET:
-            raise QuadratureFailure(
-                f"evaluation budget {EVAL_BUDGET} exhausted at depth {depth} "
-                f"with {k} open intervals")
-        fm2 = _shaped(f(quarters), quarters, rows)
-        evals += fm2.size
+        whole = _simpson(fends2[..., :k], fends2[..., k : 2 * k], fends2[..., 3 * k :],
+                         ends2[3 * k :] - ends2[:k])
+    for _ in range(MIN_DEPTH):
+        tol = 0.5 * tol
+    # per depth from MIN_DEPTH: the split intervals, the components that passed and their values
+    levels, depth, refining = [], MIN_DEPTH, True
+    while True:
         with np.errstate(over="ignore", invalid="ignore"):
             a2, b2 = ends2[: 2 * k], ends2[2 * k :]
             fa2, fb2 = fends2[..., : 2 * k], fends2[..., 2 * k :]
             halves = _simpson(fa2, fm2, fb2, b2 - a2)
             estimate = halves[..., :k] + halves[..., k:]
             err = (estimate - whole) / 15.0
-            passed = np.abs(err) <= tol if depth >= MIN_DEPTH else np.zeros(err.shape, bool)
+            passed = np.abs(err) <= tol
             failed = refining > passed
             split = failed.any(axis=0) if rows else failed
             levels.append((split, passed, (estimate + err)[passed]))
@@ -158,11 +155,18 @@ def _integrals(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
             quarters = 0.5 * (ends2[: 2 * k] + ends2[2 * k :])
         tol = 0.5 * tol
         depth += 1
+        if not k:
+            break
+        _check_budget(evals + 2 * k * components, depth, k)
+        fm2 = _shaped(f(quarters), quarters, rows)
+        evals += fm2.size
 
     # Collapse bottom-up: a split interval's value is its left half's plus its
     # right half's, which lie in the two halves of the next depth's values.  A
     # component that passed takes its own value instead; below that interval it
-    # no longer refines, and its values there are never read.
+    # no longer refines, and its values there are never read.  The forced
+    # depths split every interval, and their intervals are in order, so each
+    # value is the sum of the next depth's pair.
     below = np.empty(rows + (0,))
     with np.errstate(over="ignore", invalid="ignore"):
         for split, passed, accepted in reversed(levels):
@@ -171,9 +175,15 @@ def _integrals(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
             value[..., split] = below[..., :m] + below[..., m:]
             value[passed] = accepted
             below = value
-    values = np.zeros(rows + a.shape)
-    values[..., live] = np.where(flip[live], -below, below)
-    return values
+        for _ in range(MIN_DEPTH):
+            below = below[..., 0::2] + below[..., 1::2]
+    return below[..., 0]
+
+
+def _check_budget(evals: int, depth: int, k: int) -> None:
+    if evals > EVAL_BUDGET:
+        raise QuadratureFailure(f"evaluation budget {EVAL_BUDGET} exhausted at depth {depth} "
+                                f"with {k} open intervals")
 
 
 def _simpson(fa, fm, fb, width):

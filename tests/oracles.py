@@ -11,7 +11,8 @@ for the basis, one math.fsum per row for the random rows, the dense shift
 matrix `shift_matrix`, the deflated n x n eigensolver `oracle_max_dense` and
 LAPACK `eigh` on the dense odd-part tridiagonal `oracle_max_eigh` for the
 oracle, depth-first recursion with one integrand call per point for
-adaptive Simpson, a math.cos/math.sin loop per point for trigonometric
+adaptive Simpson, a knot index reduced mod n and a difference per point
+for the interpolant, a math.cos/math.sin loop per point for trigonometric
 polynomials, and `project` onto the rows of the dense basis for the block
 energies): they are kept here as the reference the fast route must match.
 """
@@ -43,6 +44,7 @@ from wirtinger import (
     verify_action,
 )
 from wirtinger.core import fdot, fsum
+from wirtinger.pwl import KNOT_SNAP_ULPS
 from wirtinger.quadrature import MAX_DEPTH, MIN_DEPTH
 
 TWO_PI = 2.0 * math.pi
@@ -141,6 +143,25 @@ def fourier_interpolant(x, jmax: int) -> list:
         scale = (2.0 / n) / basis_norm(n, j)
         coeffs.append((j, scale * inner_product(x, cos_ref), scale * inner_product(x, sin_ref)))
     return coeffs
+
+
+def interpolant_per_point_difference(knots, t):
+    """PiecewiseLinear(knots)(t) with the left knot's index reduced mod n, and
+    the difference to the next knot taken at each point."""
+    k = np.asarray(knots, dtype=float)
+    n = k.size
+    grid = np.concatenate((k[-1:], k))
+    with np.errstate(invalid="ignore"):
+        tt = np.asarray(t, dtype=float)
+        u = (tt % TWO_PI) * (n / TWO_PI)
+        nearest = np.rint(u)
+        below = np.floor(u)
+        snapped = np.abs(u - nearest) <= KNOT_SNAP_ULPS * np.maximum(1.0, u)
+        left = np.where(snapped, nearest, below).astype(int) % n
+        frac = np.where(snapped, 0.0, u - below)
+    lo = grid[left]
+    out = lo + frac * (grid[left + 1] - lo)
+    return float(out) if out.ndim == 0 else out
 
 
 def adaptive_simpson_recursive(f, a: float, b: float, tol: float = 1e-10) -> float:

@@ -14,6 +14,7 @@ from oracles import verify_residuals_per_vector
 from wirtinger.cli import (
     HARMONICS_MAX_ABS_SUM,
     SAMPLE_MAX_N,
+    SWEEP_MAX_SAMPLES,
     VERIFY_THRESHOLDS,
     ConfigError,
     _build_parser,
@@ -101,6 +102,7 @@ def test_library_size_errors_are_usage_errors(argv, tmp_path, capsys):
     ["verify", "--n", "4..1000000000000"],
     ["maximize", "--n", "4..1000000000000"],
     ["sweep", "--fn", "sin1", "--n", "4..1000000000000"],
+    ["sweep", "--fn", "sin1", "--n", "4..1048576"],
     ["fourier", "--fn", "sin1", "--n", "4..1000000000000"],
     ["verify", "--n=-1000000000000..5"],
     ["maximize", "--n=-100000000..5"],
@@ -384,6 +386,23 @@ def test_sample_cap(command):
     assert config(2**20).ns == (2**20,)
     with pytest.raises(ConfigError, match="capped"):
         config(2**20 + 1)
+
+
+@pytest.mark.parametrize("within, over", [
+    ("1048576,1048575,1048574,1048573,6", "1048576,1048575,1048574,1048573,7"),
+    ("1048576,1048576,1048575,1048574,1048573,6", "1048576,1048576,1048575,1048574,1048573,7"),
+    ("4..2895", "4..2896"),
+])
+def test_sweep_sample_cap(within, over):
+    """A sweep's sizes may sum to SWEEP_MAX_SAMPLES, a repeated size counted
+    once, and no more, checked on the config alone."""
+    def config(n):
+        return _make_config(_build_parser().parse_args(["sweep", "--fn", "sin1", "--n", n]))
+
+    assert SWEEP_MAX_SAMPLES == 4 * 2**20
+    config(within)
+    with pytest.raises(ConfigError, match=f"capped at {SWEEP_MAX_SAMPLES} samples"):
+        config(over)
 
 
 def test_maximize_small(capsys):

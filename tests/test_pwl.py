@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import segment_h1, segment_l2, segment_simpson_product
+from oracles import (
+    interpolant_per_point_difference,
+    segment_h1,
+    segment_l2,
+    segment_simpson_product,
+)
 
 from wirtinger import (
     BlockOutOfRange,
@@ -119,6 +124,56 @@ def test_non_finite_point_gives_nan_without_warning(t):
         batch = L(np.array([t, 1.0]))
     assert math.isnan(batch[0])
     assert batch[1] == L(1.0)
+
+
+def _knot_points(n: int) -> np.ndarray:
+    """Each knot abscissa over three periods, 1 to 3 ulps either side of it,
+    a point inside each segment, and the non-finite and huge points."""
+    t = TWO_PI * np.arange(-n, 2 * n + 1) / n
+    near = [t, TWO_PI * (np.arange(-n, 2 * n) + 0.37) / n]
+    for direction in (math.inf, -math.inf):
+        s = t
+        for _ in range(3):
+            s = np.nextafter(s, direction)
+            near.append(s)
+    return np.concatenate(near + [np.array([math.inf, -math.inf, math.nan, 1e300, -1e300])])
+
+
+def _assert_same_bits(knots, t):
+    got = PiecewiseLinear(knots)(t)
+    want = interpolant_per_point_difference(knots, t)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), knots.size
+
+
+@pytest.mark.parametrize("scale", [math.exp(-30.0), 1.0, math.exp(30.0)])
+def test_call_has_the_bits_of_a_difference_per_point(scale):
+    """Precomputed knot differences and a padded grid give the bits of the
+    per-point difference and the index reduced mod n: at every knot, a few
+    ulps off it, and at non-finite and huge t, with signed zero knots."""
+    rng = np.random.default_rng(26)
+    for n in range(4, 301):
+        knots = rng.standard_normal(n) * scale
+        knots[rng.integers(0, n, 2)] = -0.0
+        _assert_same_bits(knots, _knot_points(n))
+
+
+def test_overflowing_knot_differences_keep_their_values():
+    """Knots near +-DBL_MAX: the differences overflow when the interpolant is
+    built, not when it is called, and every value keeps its bits (inf, and
+    NaN at a knot whose segment's slope is inf)."""
+    big = sys.float_info.max
+    knots = np.array([big, -big, 0.75 * big, -0.0, -big, 0.5 * big, big])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        PiecewiseLinear(knots)
+    with np.errstate(over="ignore"):
+        L = PiecewiseLinear(knots)
+    t = _knot_points(knots.size)
+    with np.errstate(invalid="ignore"):  # 0 * inf at the knots; an overflow here would raise
+        got = L(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = interpolant_per_point_difference(knots, t)
+    assert np.isinf(got).any() and np.isnan(got[np.isfinite(t)]).any()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_interpolant_rejects_small_n():

@@ -7,7 +7,7 @@ import pytest
 from oracles import adaptive_simpson_recursive
 
 from wirtinger import PiecewiseLinear, QuadratureFailure, adaptive_simpson, quadrature
-from wirtinger.quadrature import EVAL_BUDGET, MAX_DEPTH
+from wirtinger.quadrature import EVAL_BUDGET, MAX_DEPTH, MIN_DEPTH
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,13 +115,58 @@ def test_infinite_value_fails_as_the_recursion_does():
     assert str(bfs.value) == str(dfs.value)
 
 
+def _depth(x: float) -> int:
+    """The depth at which bisection of [0, 1] first evaluates the dyadic x:
+    an odd multiple of 2**-(d + 2) is a quarter-point of depth d."""
+    return x.as_integer_ratio()[1].bit_length() - 3
+
+
 def test_one_integrand_call_per_depth():
-    """The ends and middle, then the two quarter-points of every open
-    interval: six forced depths of 1, 2, ..., 32 intervals, and at depth 6
-    all 64 pass the error test."""
+    """One call on the 257 points of the forced depths and the first error
+    test: on sin every interval of depth 6 passes it.  A kink at tol 1e-13
+    then takes one call per deeper depth, on the two quarter-points of each
+    interval still open there, as many as the recursion evaluates."""
     sizes = []
     adaptive_simpson(lambda t: sizes.append(t.size) or np.sin(t), 0.0, 1.0)
-    assert sizes == [3, 2, 4, 8, 16, 32, 64, 128]
+    assert sizes == [257]
+    sizes, points = [], []
+    adaptive_simpson(lambda t: sizes.append(t.size) or np.abs(t - 0.3), 0.0, 1.0, tol=1e-13)
+    adaptive_simpson_recursive(lambda t: points.append(t) or abs(t - 0.3), 0.0, 1.0, tol=1e-13)
+    depths = [_depth(x) for x in points if _depth(x) > MIN_DEPTH]
+    assert sizes[0] == 257 and len(sizes) > 20
+    assert sizes[1:] == [depths.count(d) for d in range(MIN_DEPTH + 1, max(depths) + 1)]
+    assert all(size % 2 == 0 for size in sizes[1:])
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.1, 2.9), (-1e-3, TWO_PI), (3.0, -0.7)])
+def test_first_call_is_the_recursion_points_through_the_forced_depths(a, b):
+    """At a tolerance every interval of depth MIN_DEPTH meets, the recursion
+    evaluates exactly the points of the forced depths: the first call takes
+    the same bits, in order."""
+    calls, points = [], []
+    adaptive_simpson(lambda t: calls.append(t.copy()) or np.sin(t), a, b, tol=1.0)
+    adaptive_simpson_recursive(lambda t: points.append(t) or math.sin(t), a, b, tol=1.0)
+    assert len(calls) == 1 and len(points) == 4 * 2**MIN_DEPTH + 1
+    assert [_bits(x) for x in calls[0].tolist()] == [_bits(x) for x in sorted(points)]
+
+
+@pytest.mark.parametrize("rows, budget, message, sizes", [
+    ((), 100, "at depth 5 with 32 open intervals", []),
+    ((3, 1), 700, "at depth 6 with 64 open intervals", [257]),
+])
+def test_forced_depths_over_the_budget_fail_where_one_call_per_depth_did(
+        rows, budget, message, sizes, monkeypatch):
+    """The forced depths' values, 4 * 2**d + 1 points through depth d, times
+    the components, are checked in order, with the message and at the depth
+    of a frontier that called f once per depth: before the call for a 1-D f,
+    which is then not called, and after it for rows."""
+    monkeypatch.setattr(quadrature, "EVAL_BUDGET", budget)
+    calls = []
+    with pytest.raises(QuadratureFailure) as exc:
+        adaptive_simpson(lambda t: calls.append(t.size) or np.abs(t - 1.0 / 3.0) * np.ones(rows),
+                         0.0, 1.0)
+    assert str(exc.value) == f"evaluation budget {budget} exhausted {message}"
+    assert calls == sizes
 
 
 def test_frontier_is_bounded_by_the_evaluation_budget():
@@ -140,59 +185,17 @@ def test_frontier_is_bounded_by_the_evaluation_budget():
     assert peak <= 64 * 2**20, peak / 2**20
 
 
-@pytest.mark.parametrize("f", [
-    lambda t: np.exp(np.sin(t)),
-    lambda t: np.abs(t - 1.0),
-])
-@pytest.mark.parametrize("tol", [1e-10, 1e-12])
-def test_batch_has_the_bits_of_one_call_per_interval(f, tol):
-    """Random intervals with a < b, a == b and a > b in one frontier: each
-    entry has the bits of its own call, 0.0 and the negated reversed
-    integral included."""
-    rng = np.random.default_rng(21)
-    a, b = rng.uniform(-3.0, 3.0, (2, 12))
-    b[[1, 6]] = a[[1, 6]]
-    got = adaptive_simpson(f, a, b, tol=tol)
-    want = [adaptive_simpson(f, lo, hi, tol=tol) for lo, hi in zip(a.tolist(), b.tolist())]
-    assert (a > b).any() and (a < b).any()
-    assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want]
-
-
-def test_batch_over_the_budget_redoes_each_interval_alone():
-    """sin^2(600t) takes about 360,000 evaluations on each fifth of the
-    period: each piece passes alone, but the five together exceed the shared
-    EVAL_BUDGET, so each is redone in a frontier of its own."""
-    edges = TWO_PI * np.arange(6) / 5
-    sizes = []
-    got = adaptive_simpson(lambda t: sizes.append(t.size) or np.sin(600 * t) ** 2,
-                           edges[:-1], edges[1:], tol=2e-11)
-    # every depth evaluates an even count; 15 and 3 are the first calls
-    assert sizes[0] == 15 and sizes.count(3) == 5
-    want = [adaptive_simpson(lambda t: np.sin(600 * t) ** 2, lo, hi, tol=2e-11)
-            for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
-    assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want]
-
-
-def test_batch_fails_with_the_message_of_its_first_failing_interval():
-    c = 0.5773502691
-    step = lambda t: np.where(t < c, 0.0, 1.0)
-    with pytest.raises(QuadratureFailure) as alone:
-        adaptive_simpson(step, 1.0, 0.0, tol=1e-13)
-    with pytest.raises(QuadratureFailure) as batch:
-        adaptive_simpson(step, np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.0, 1.0]), tol=1e-13)
-    assert str(batch.value) == str(alone.value)
-
-
-def test_array_bounds_of_one_and_of_none():
-    assert _bits(adaptive_simpson(np.exp, np.array([0.0]), np.array([1.0]))[0]) == _bits(
-        adaptive_simpson(np.exp, 0.0, 1.0))
-    assert adaptive_simpson(np.exp, np.empty(0), np.empty(0)).shape == (0,)
-
-
 @pytest.mark.parametrize("a, b", [(np.zeros(2), np.ones(3)), (np.zeros((2, 2)), np.ones((2, 2))),
                                   (0.0, np.ones(2))])
 def test_bounds_of_other_shapes_are_a_value_error(a, b):
     with pytest.raises(ValueError, match="1-D arrays of one length"):
+        adaptive_simpson(np.exp, a, b)
+
+
+@pytest.mark.parametrize("a, b", [(np.zeros(3), np.ones(3)), (np.zeros(1), np.ones(1)),
+                                  (np.empty(0), np.empty(0))])
+def test_arrays_of_one_length_are_a_value_error_that_says_what_to_do(a, b):
+    with pytest.raises(ValueError, match="integrate one interval per call"):
         adaptive_simpson(np.exp, a, b)
 
 
@@ -206,7 +209,7 @@ def test_scalar_only_integrand_is_a_type_error(f):
         adaptive_simpson(f, 0.0, 1.0)
     calls = []
     with pytest.raises(TypeError, match="1-D float array"):
-        adaptive_simpson(lambda t: calls.append(t) or f(t), np.zeros(3), np.ones(3))
+        adaptive_simpson(lambda t: calls.append(t) or f(t), 1.0, 0.0)
     assert len(calls) == 1
 
 
@@ -229,23 +232,19 @@ def _rows(t):
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_rows_have_the_bits_of_each_component_alone(tol):
-    """Scalar bounds, and arrays with a < b, a == b and a > b: row i of a
-    vector integrand has the bits of component i integrated alone."""
-    got = adaptive_simpson(_rows, 0.0, 2.0, tol=tol)
-    assert got.shape == (len(COMPONENTS),)
-    for g, row in zip(COMPONENTS, got.tolist()):
-        assert _bits(row) == _bits(adaptive_simpson(g, 0.0, 2.0, tol=tol))
-    a = np.array([0.0, 1.5, 2.0, -0.5, 3.0])
-    b = np.array([2.0, 1.5, 0.25, 0.7, 1.0])
-    got = adaptive_simpson(_rows, a, b, tol=tol)
-    assert got.shape == (len(COMPONENTS), a.size)
-    for g, row in zip(COMPONENTS, got.tolist()):
-        assert [_bits(v) for v in row] == [_bits(v) for v in adaptive_simpson(g, a, b, tol=tol)]
+    """Bounds with a < b, a == b and a > b: row i of a vector integrand has
+    the bits of component i integrated alone."""
+    for a, b in [(0.0, 2.0), (1.5, 1.5), (2.0, 0.25), (-0.5, 0.7), (3.0, 1.0)]:
+        got = adaptive_simpson(_rows, a, b, tol=tol)
+        assert got.shape == (len(COMPONENTS),)
+        for g, row in zip(COMPONENTS, got.tolist()):
+            assert _bits(row) == _bits(adaptive_simpson(g, a, b, tol=tol)), (a, b)
 
 
 def test_rows_on_equal_bounds_are_zeros_of_their_shape():
     assert adaptive_simpson(_rows, 1.0, 1.0).tolist() == [0.0] * len(COMPONENTS)
-    assert adaptive_simpson(_rows, np.ones(2), np.ones(2)).shape == (len(COMPONENTS), 2)
+    got = adaptive_simpson(_rows, -0.0, 0.0)
+    assert got.shape == (len(COMPONENTS),) and {_bits(v) for v in got.tolist()} == {_bits(0.0)}
 
 
 def test_one_row_is_an_array_of_one():
@@ -256,7 +255,8 @@ def test_one_row_is_an_array_of_one():
 @pytest.mark.parametrize("f", [
     lambda t: np.ones((2, t.size + 1)),
     lambda t: np.ones((2, 1, t.size)),
-    lambda t: np.ones((2 if t.size == 3 else 3, t.size)),  # the rows change after the first call
+    # the rows change after the first call, on the 257 points; the kink needs a second call
+    lambda t: np.abs(t - 0.3) * np.ones((2 if t.size == 257 else 3, 1)),
 ])
 def test_rows_of_another_shape_are_a_type_error(f):
     with pytest.raises(TypeError, match="got shape"):
