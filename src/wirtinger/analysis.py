@@ -113,7 +113,7 @@ def tail_energy(f: PeriodicFunction, n: int) -> float:
 
 
 def _tail_of_samples(x: np.ndarray) -> float:
-    return math.fsum(block_energies(x)[2:].tolist()) / x.size
+    return fsum(block_energies(x)[2:]) / x.size
 
 
 @dataclass(frozen=True)

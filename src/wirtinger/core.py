@@ -20,17 +20,20 @@ DEGENERATE_NORM = 1e-300
 # fsum_rows takes the whole-array route from this many rows or this many entries
 # (m*n) on, and calls math.fsum row by row below both.  Measured on squared
 # Gaussian rows (whole-array time over row-by-row time, numpy 2.4, one Xeon
-# core): m=1: 1.31 at n=2048, 0.65 at n=4096; m=5: 12-13 at n=4..12, 0.89 at
-# n=512, 0.57 at n=1024; m=10, n=257: 1.00; m=20, n=160: 1.08; m=30, n=160:
-# 0.48; m=100: 1.3 at n=4, 1.0 at n=8, 0.45 at n=32; m=160: 1.0 at n=3..5, 0.7
-# at n=8; m=205: 0.7 at n=4, 0.4 at n=19; m=1000: 0.2-0.8 at n=1..4.  The
-# whole-array route costs about 50 us however small the array, and a row of
-# math.fsum about 0.25 us plus 0.05 us an entry.
+# core): m=1: 0.74-1.12 at n=1024, 0.39 at n=2048, 0.18 at 4096, 0.07 at 16384;
+# m=2, n=1024: 1.88; m=5: 1.59 at n=160, 1.26 at n=256, 1.0 at n=410, 0.92 at
+# n=512; m=10, n=160: 0.93; m=20: 1.34 at n=32, 0.42 at n=160; m=30, n=32: 0.89;
+# m=100: 1.15 at n=4, 0.84 at n=8; m=128, n=4: 1.09; m=160: 1.17 at n=2, 0.81
+# at n=3, 0.73 at n=4; m=205: 0.60 at n=4, 0.22 at n=19.  The whole-array route
+# costs about 30 us however small the array, and more per entry when few rows
+# share each step; a row of math.fsum costs about 0.25 us plus 0.04 us an entry.
 FSUM_ROWS_MIN_ROWS = 160
-FSUM_ROWS_MIN_ENTRIES = 4096
-# Rows whose sum of |entries| reaches this may overflow inside math.fsum, which
-# then raises; the whole-array route leaves them to it.
-_FSUM_ROWS_MAX_ABS_SUM = sys.float_info.max / 8
+FSUM_ROWS_MIN_ENTRIES = 2048
+# The whole-array route leaves to math.fsum the rows whose largest |entry| is
+# below _MIN_SCALE, and those whose sigma reaches _MAX_SIGMA, which may overflow
+# inside math.fsum (it then raises).
+_FSUM_ROWS_MIN_SCALE = 2.0**-900
+_FSUM_ROWS_MAX_SIGMA = sys.float_info.max / 8
 
 
 def _require_size(n: int) -> None:
@@ -55,71 +58,61 @@ def as_samples(x) -> np.ndarray:
 
 def fdot(x, y) -> float:
     """Dot product with compensated (error-free) summation of the products."""
-    return math.fsum((np.asarray(x, dtype=float) * np.asarray(y, dtype=float)).tolist())
+    return fsum(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
 
 
 def fsum(x) -> float:
-    """Compensated sum of the entries."""
-    return math.fsum(np.asarray(x, dtype=float).tolist())
+    """Compensated sum of the entries: math.fsum's bits, through fsum_rows."""
+    v = np.asarray(x, dtype=float)
+    if v.size < FSUM_ROWS_MIN_ENTRIES:
+        return math.fsum(v.tolist())
+    return float(fsum_rows(v.reshape(1, -1))[0])
 
 
 def fsum_rows(x) -> np.ndarray:
     """math.fsum of every row of a 2-D array, with its bits and its exceptions.
 
-    Large arrays take all rows at once (Ogita, Rump & Oishi, SIAM J. Sci.
-    Comput. 26, 2005): a pairwise TwoSum tree gives each row's float sum s and
-    the exact rounding errors of its additions, whose float sum e errs by at
-    most `bound`.  A final TwoSum splits s + e into r + t, so the exact sum
-    lies within |t| + bound of r.  r is the correctly rounded sum, as fsum's is,
-    when that is strictly less than half the spacing from |r| towards zero, the
-    smaller of its two spacings.  Every other row (ties, zero sums, inf, NaN,
-    sums that may overflow) goes through math.fsum.  The tree's levels alternate
-    between two buffers, so no level is copied back.
+    Large arrays take all rows at once, by one round of error-free extraction
+    (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3).  A row
+    of n entries with max|x| < 2**e gets sigma = 2**(e + M), M = (n+1).bit_length()
+    = ceil(log2(n+2)), so sigma >= 2**M * max|x|.  Each high part
+    (sigma + x) - sigma is then a multiple of u*sigma (u = 2**-53) of size at
+    most sigma/2**M, so every partial sum of the highs stays below sigma and
+    their sum tau is exact in any order.  Each low part x - high is exact, with
+    |low| <= u*sigma, so the float sum of the lows errs by at most
+    gamma_{n-1} * n * u * sigma (Higham, Accuracy and Stability, 2nd ed.,
+    ch. 4); `bound` doubles that, which covers 1/(1 - (n-1)u) and its own
+    rounding.  A TwoSum splits tau + lows into r + t, so the exact sum lies
+    within |t| + bound of r.  r is the correctly rounded sum, as fsum's is,
+    when that is strictly less than half the spacing from |r| towards zero,
+    the smaller of its two spacings.  Every other row goes through math.fsum:
+    ties, zero sums, inf and NaN (which make t NaN), rows below 2**-900 (the
+    lemma assumes no underflow) and rows whose sigma reaches DBL_MAX/8, whose
+    sums may overflow.
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
     if m < FSUM_ROWS_MIN_ROWS and m * n < FSUM_ROWS_MIN_ENTRIES:
         return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
     with np.errstate(all="ignore"):
-        abs_sum = np.abs(x).sum(axis=1)
-        level = np.array(x.T, order="C")  # a copy: the tree writes over it
-        other = np.empty(((n + 1) // 2, m))
-        v_buf, e_buf = np.empty((2, n // 2, m))
-        err = np.zeros(m)
-        count = n
-        while count > 1:
-            h = count // 2
-            a, b = level[:h], level[h:2 * h]
-            s, v, e = other[:h], v_buf[:h], e_buf[:h]
-            # TwoSum: s + e == a + b exactly
-            np.add(a, b, out=s)
-            np.subtract(s, a, out=v)
-            np.subtract(s, v, out=e)
-            np.subtract(a, e, out=e)
-            np.subtract(b, v, out=v)
-            np.add(e, v, out=e)
-            err += e.sum(axis=0)
-            if count % 2:
-                other[h] = level[count - 1]
-            level, other = other, level
-            count = h + count % 2
-        total = level[0]
-        r = total + err
-        v = r - total
-        t = (total - (r - v)) + (err - v)
-        # Every level's errors sum to at most eps/2 times the row's sum of |x|,
-        # and adding the n - 1 of them errs by gamma_n times their sum (Higham,
-        # Accuracy and Stability, 2nd ed., ch. 4); the factor 2 covers the
-        # roundings of abs_sum and of this product.  A product that underflows
-        # is harmless: errors that small are summed exactly.
-        levels = (n - 1).bit_length()
-        bound = abs_sum * (2.0 * n * levels * 2.0**-106)
+        low = np.array(x.T, order="C")  # a copy, so that each step spans all rows
+        scale = np.maximum(low.max(axis=0), -low.min(axis=0))
+        sigma = np.ldexp(1.0, np.frexp(scale)[1] + (n + 1).bit_length())
+        high = low + sigma
+        high -= sigma
+        low -= high
+        tau, lows = high.sum(axis=0), low.sum(axis=0)
+        r = tau + lows
+        v = r - tau
+        t = (tau - (r - v)) + (lows - v)
+        bound = sigma * (2.0 * n * (n - 1) * 2.0**-106)
         magnitude = np.abs(r)
         gap = magnitude - np.nextafter(magnitude, 0.0)
         # written as "clears the bound" so that NaN rows are not certified
-        certified = (np.abs(t) + bound < 0.5 * gap) & (abs_sum < _FSUM_ROWS_MAX_ABS_SUM)
+        certified = ((np.abs(t) + bound < 0.5 * gap)
+                     & (scale >= _FSUM_ROWS_MIN_SCALE) & (sigma < _FSUM_ROWS_MAX_SIGMA))
     for i in np.flatnonzero(~certified):
-        r[i] = math.fsum(x[i].tolist())
+        r[i] = math.fsum(memoryview(x[i]))
     return r
 
 

@@ -14,6 +14,7 @@ Blocks are labelled by k: k = 0 is the constant direction, k = n/2 (n even)
 the alternating one, and 1 <= k < n/2 the rotation planes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,12 +54,15 @@ class CyclicBasis:
     """The shift-adapted orthonormal basis for a given n.
 
     `vectors` is an n x n read-only array whose row i is the basis vector
-    e_{i+1}.  `blocks` lists the invariant blocks, as block_layout(n) does.
+    e_{i+1}.  `blocks` is block_layout(n), built on first read.
     """
 
     n: int
     vectors: np.ndarray
-    blocks: tuple
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        return block_layout(self.n)
 
 
 def _first_rotation_row(n: int) -> int:
@@ -69,6 +73,11 @@ def _first_rotation_row(n: int) -> int:
     return 2 - n % 2
 
 
+def _rotation_angles(n: int) -> list:
+    """The angle 2*pi*k/n of every rotation block k = 1..(n-1)//2, in order."""
+    return [TWO_PI * k / n for k in range(1, (n - 1) // 2 + 1)]
+
+
 def block_layout(n: int) -> tuple:
     """Block descriptors for dimension n, without building the vectors."""
     _require_size(n)
@@ -76,9 +85,9 @@ def block_layout(n: int) -> tuple:
     if n % 2 == 0:
         blocks.append(Fixed(index=1, eigenvalue=-1.0, k=n // 2))
     first = _first_rotation_row(n)
-    for k in range(1, (n - 1) // 2 + 1):
+    for k, angle in enumerate(_rotation_angles(n), 1):
         i = first + 2 * (k - 1)
-        blocks.append(Rotation(indices=(i, i + 1), angle=TWO_PI * k / n, k=k))
+        blocks.append(Rotation(indices=(i, i + 1), angle=angle, k=k))
     return tuple(blocks)
 
 
@@ -91,7 +100,7 @@ def build_basis(n: int) -> CyclicBasis:
     are gathered from the tables through the (j*k) mod n table.  The
     temporaries are that table and the two length-n tables.
     """
-    blocks = block_layout(n)
+    _require_size(n)
     j = np.arange(n)
     vectors = np.empty((n, n))
     vectors[0] = 1.0 / math.sqrt(n)
@@ -106,13 +115,7 @@ def build_basis(n: int) -> CyclicBasis:
     np.take(amplitude * np.cos(angles), phase, out=vectors[first::2], mode="clip")
     np.take(amplitude * np.sin(angles), phase, out=vectors[first + 1::2], mode="clip")
     vectors.flags.writeable = False
-    return CyclicBasis(n=n, vectors=vectors, blocks=blocks)
-
-
-def _block_cosines(basis: CyclicBasis) -> np.ndarray:
-    """cos(angle) of every rotation block, as a column."""
-    rotations = basis.blocks[_first_rotation_row(basis.n):]
-    return np.array([math.cos(b.angle) for b in rotations])[:, None]
+    return CyclicBasis(n=n, vectors=vectors)
 
 
 def action_residuals(basis: CyclicBasis) -> dict[int, float]:
@@ -126,19 +129,20 @@ def action_residuals(basis: CyclicBasis) -> dict[int, float]:
     matmul calls the same BLAS dot for every row, while a norm along an axis
     would sum in another order and move the last digits.
     """
-    v = basis.vectors
+    n, v = basis.n, basis.vectors
     residual = np.roll(v, 1, axis=1)
-    first = _first_rotation_row(basis.n)
-    fixed, rotations = basis.blocks[:first], basis.blocks[first:]
+    first = _first_rotation_row(n)
     cos_rows, sin_rows = v[first::2], v[first + 1::2]
-    c = _block_cosines(basis)
-    s = np.array([math.sin(b.angle) for b in rotations])[:, None]
-    residual[:first] -= np.array([b.eigenvalue for b in fixed])[:, None] * v[:first]
+    angles = _rotation_angles(n)
+    c = np.array([math.cos(a) for a in angles])[:, None]
+    s = np.array([math.sin(a) for a in angles])[:, None]
+    # the fixed blocks k = 0 and (n even) k = n/2, with eigenvalues +1 and -1
+    residual[:first] -= np.array((1.0, -1.0)[:first])[:, None] * v[:first]
     residual[first::2] -= c * cos_rows + s * sin_rows
     residual[first + 1::2] -= -s * cos_rows + c * sin_rows
     norms = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])).ravel()
-    out = {b.k: float(norms[b.index]) for b in fixed}
-    out.update(zip((b.k for b in rotations),
+    out = dict(zip((0, n // 2)[:first], norms[:first].tolist()))
+    out.update(zip(range(1, len(angles) + 1),
                    np.maximum(norms[first::2], norms[first + 1::2]).tolist()))
     return out
 
@@ -180,8 +184,8 @@ def _canonical_forms(ys: np.ndarray, basis: CyclicBasis) -> np.ndarray:
     terms[:, 0] = squares[:, 0]
     if first == 2:
         terms[:, 1] = -squares[:, 1]
-    np.multiply(_block_cosines(basis).T, squares[:, first::2] + squares[:, first + 1::2],
-                out=terms[:, first:])
+    cosines = [math.cos(a) for a in _rotation_angles(basis.n)]
+    np.multiply(cosines, squares[:, first::2] + squares[:, first + 1::2], out=terms[:, first:])
     return fsum_rows(terms)
 
 

@@ -15,7 +15,8 @@ from wirtinger import (
     cyclic_correlation_rows,
     shift,
 )
-from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, FSUM_ROWS_MIN_ROWS, fdot, fsum_rows
+from wirtinger import core
+from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, FSUM_ROWS_MIN_ROWS, fdot, fsum, fsum_rows
 
 REL_TOL = 1e-13
 
@@ -150,16 +151,24 @@ INF = math.inf
     ([[1.0, 2.0**-53, 0.0]], None),  # half-ulp tie, rounds down to even
     ([[1.0 + 2.0**-52, 2.0**-53, 0.0]], None),  # half-ulp tie, rounds up to even
     ([[2.0**53, 1.0, 0.0], [2.0**53, 3.0, 0.0], [-(2.0**53), -1.0, 2.0**-60]], None),
-    # the float sum of the tree's error terms is off by more than r's last bit
-    # allows, which only the error bound catches
+    # cancels to far below the last bit of the largest entry
     ([[1.0, -(1.0 + 2.0**-52), 1.5 * 2.0**-52, -(1.0 + 3 * 2.0**-52) * 2.0**-56]], None),
+    ([[1e16, 1.0, -1e16], [1.0, 1e16, -1e16], [-1e16, 1e16, 1.0], [1e16, -1.0, -1e16]], None),
+    # mirrored halves: exact zero sums, whose sign math.fsum decides
+    ([[0.3, -1.7, 2.5, -2.5, 1.7, -0.3], [-1e-3, 1e20, 7.0, -7.0, -1e20, 1e-3]], None),
+    ([[math.exp(30.0), -math.exp(-30.0), 1.0], [math.exp(-30.0), math.exp(-31.0), -math.exp(-29.5)]],
+     None),
+    # below 2**-900 (the extraction assumes no underflow), and a tie at 2**-900
+    ([[2.0**-901, 3 * 2.0**-960, -(2.0**-930)], [2.0**-900, 2.0**-953, 0.0]], None),
+    # at DBL_MAX/(n+2), where sigma overflows, and an eighth of it
+    ([[MAX / 5, MAX / 5, -MAX / 5], [MAX / 40, -MAX / 40, MAX / 40 * 2.0**-60]], None),
     ([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, -1.0, -0.0]], None),
     ([[TINY, TINY, TINY], [-TINY, 2.0**-1022, TINY], [2.0**-1022, -(2.0**-1023), -TINY]], None),
     ([[INF, 1.0, 2.0], [1.0, 2.0, 3.0], [-INF, -INF, 1.0]], None),
     ([[1.0, 2.0, 3.0], [math.nan, 1.0, 2.0], [INF, math.nan, 1.0]], None),
     ([[1.0, 2.0, 3.0], [INF, -INF, 1.0], [math.nan, 0.0, 0.0]], ValueError),
     ([[1.0, 2.0, 3.0], [1e308, 1e308, -1e308]], OverflowError),
-    # fsum overflows adding in order; the pairwise tree adds MAX to -MAX and does not
+    # fsum overflows adding in order, though the exact sum is 1
     ([[1.0, 2.0, 3.0, 4.0, 5.0], [MAX, MAX, -MAX, -MAX, 1.0]], OverflowError),
     ([[MAX, -MAX, MAX / 16], [MAX / 4, MAX / 4, -MAX / 4]], None),
 ])
@@ -189,18 +198,47 @@ def test_fsum_rows_route_by_rows_and_entries(m, n, whole, monkeypatch):
 
 @pytest.mark.parametrize("n", [2**k + d for k in range(1, 13) for d in (-1, 1)])
 def test_fsum_rows_odd_counts_at_every_level(n):
-    """A row of 2^k + 1 entries has an odd count at every level of the tree,
-    so its last entry is carried up to the top; at 2^k - 1 only the first
-    level is odd.  k = 12 puts a single row on either side of the
-    whole-array threshold, and the padding takes every n past it."""
+    """Rows of 2^k - 1 and 2^k + 1 entries whose last entry matters: it
+    cancels the first, makes a half-ulp tie, dominates, or cancels all the
+    rest.  The padding takes every n past the whole-array threshold."""
     rows = np.random.default_rng(n).standard_normal((5, n))
-    rows[1, 0], rows[1, -1] = 1e16, -1e16  # cancels across the carried entry
+    rows[1, 0], rows[1, -1] = 1e16, -1e16
     rows[2] = 0.0
-    rows[2, 0], rows[2, -1] = 1.0, 2.0**-53  # a half-ulp tie that only the carry adds
-    rows[3, -1] = 2.0**60  # the carried entry dominates
+    rows[2, 0], rows[2, -1] = 1.0, 2.0**-53
+    rows[3, -1] = 2.0**60
     rows[4] = np.ldexp(rows[4], 900)
     rows[4, -1] = -rows[4, :-1].sum()  # cancels all the rest, up to rounding
     _assert_fsum_rows_bits_on_both_routes(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 15, 16, 33, 100, 160])
+def test_fsum_rows_gaussian_ties_and_random_low_bits(n):
+    """Gaussian rows, of which about one in ten at n = 4 is a tie that only
+    math.fsum decides, and same-sign rows +-(1 + k*2**-52) with every low bit
+    random, whose extraction needs sigma's full 2**ceil(log2(n+2)) headroom."""
+    rng = np.random.default_rng([n, 52])
+    signs = rng.choice([-1.0, 1.0], (200, 1))
+    low_bits = signs * (1.0 + rng.integers(0, 2**52, (200, n)) * 2.0**-52)
+    for rows in (rng.standard_normal((200, n)), low_bits, np.ldexp(low_bits, 700)):
+        _assert_fsum_rows_bits_on_both_routes(rows)
+
+
+@pytest.mark.parametrize("n", [FSUM_ROWS_MIN_ENTRIES - 1, FSUM_ROWS_MIN_ENTRIES,
+                               FSUM_ROWS_MIN_ENTRIES + 1, 4 * FSUM_ROWS_MIN_ENTRIES])
+def test_fdot_and_fsum_are_one_row_sums(n, monkeypatch):
+    """fdot and fsum return a Python float with math.fsum's bits on either
+    side of the whole-array threshold, and call math.fsum alone below it."""
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    mirrored = np.concatenate([x[: n // 2], -x[: n // 2][::-1], [0.0] * (n % 2)])
+    calls = []
+    monkeypatch.setattr(core, "fsum_rows", lambda rows: calls.append(rows.shape) or fsum_rows(rows))
+    for v in (x, x * x, x - x.mean(), mirrored, np.ldexp(x, -1000)):
+        got = fsum(v)
+        assert type(got) is float and got.hex() == math.fsum(v.tolist()).hex()
+    got = fdot(x, y)
+    assert type(got) is float and got.hex() == math.fsum((x * y).tolist()).hex()
+    assert calls == ([(1, n)] * 6 if n >= FSUM_ROWS_MIN_ENTRIES else [])
 
 
 @pytest.mark.parametrize("m, n", [(5, 8), (205, 19), (205, 20), (3, 4096)])
@@ -216,7 +254,7 @@ def test_cyclic_correlation_rows_matches_per_row_bits(m, n):
     m=st.integers(1, 120),
     n=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["normal", "squared", "centered", "integers"]),
+    kind=st.sampled_from(["normal", "squared", "centered", "integers", "mirrored", "low_bits"]),
     exponent=st.integers(-8, 8) | st.integers(-1100, 1030),  # unit scale, or any scale
     specials=st.lists(st.tuples(st.integers(0, 10**6), st.floats()), max_size=4),
 )
@@ -231,6 +269,10 @@ def test_fsum_rows_matches_math_fsum_bits(m, n, seed, kind, exponent, specials):
         x -= x.mean(axis=1, keepdims=True)
     elif kind == "integers":  # sums with many exact half-ulp ties
         x = rng.integers(-(2**54), 2**54, (m, n)).astype(float)
+    elif kind == "mirrored":  # exact zero sums
+        x[:, n - n // 2:] = -x[:, : n // 2][:, ::-1]
+    elif kind == "low_bits":  # same-sign rows, every low bit random
+        x = np.sign(x[:, :1]) * (1.0 + rng.integers(0, 2**52, (m, n)) * 2.0**-52)
     with np.errstate(over="ignore", under="ignore"):
         x = np.ldexp(x, exponent)
     for position, value in specials:

@@ -169,7 +169,7 @@ def test_one_draw_of_205_rows_equals_5_then_200(n):
     the rows of a draw of 5 and then one of 200, bit for bit, and leaves the
     generator in the same state.  205 and 200 rows take fsum_rows' whole-array
     route at every n (they are at least FSUM_ROWS_MIN_ROWS); 5 rows do from
-    n = 820 on."""
+    n = 410 on."""
     rng_one, rng_two = np.random.default_rng([n, 205]), np.random.default_rng([n, 205])
     one = random_unit_zero_mean_rows(n, 205, rng_one)
     two = np.concatenate([random_unit_zero_mean_rows(n, 5, rng_two),
