@@ -34,6 +34,7 @@ class PiecewiseLinear:
     knots: np.ndarray
     _grid: np.ndarray = field(init=False, repr=False)
     _slope: np.ndarray = field(init=False, repr=False)
+    _wide: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         k = as_samples(self.knots)
@@ -42,7 +43,13 @@ class PiecewiseLinear:
         # grid[m] holds the value at t = 2*pi*m/n: grid[0] = grid[n] = x_n, grid[n + 1] = x_1
         grid = np.concatenate((k[-1:], k, k[:1]))
         object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_slope", grid[1:] - grid[:-1])
+        with np.errstate(over="ignore"):
+            slope = grid[1:] - grid[:-1]
+        # Segments whose difference overflows (knots near +-DBL_MAX) are taken as
+        # (1 - frac)*lo + frac*hi, finite and exact at the knots; None if there are none
+        wide = np.isinf(slope)
+        object.__setattr__(self, "_slope", slope)
+        object.__setattr__(self, "_wide", wide if wide.any() else None)
 
     @property
     def n(self) -> int:
@@ -62,8 +69,13 @@ class PiecewiseLinear:
             snapped = np.abs(u - nearest) <= KNOT_SNAP_ULPS * np.maximum(1.0, u)
             left = np.where(snapped, nearest, below).astype(int)
             frac = np.where(snapped, 0.0, u - below)
-        # u is in [0, n] unless t is not finite; then frac is NaN, whatever knot is clipped to
-        out = self._grid.take(left, mode="clip") + frac * self._slope.take(left, mode="clip")
+            # u is in [0, n] unless t is not finite; then frac is NaN, whatever knot is clipped to
+            lo = self._grid.take(left, mode="clip")
+            out = lo + frac * self._slope.take(left, mode="clip")
+            if self._wide is not None:
+                hi = self._grid.take(left + 1, mode="clip")
+                blend = (1.0 - frac) * lo + frac * hi
+                out = np.where(self._wide.take(left, mode="clip"), blend, out)
         return float(out) if out.ndim == 0 else out
 
 

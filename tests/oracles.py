@@ -147,7 +147,8 @@ def fourier_interpolant(x, jmax: int) -> list:
 
 def interpolant_per_point_difference(knots, t):
     """PiecewiseLinear(knots)(t) with the left knot's index reduced mod n, and
-    the difference to the next knot taken at each point."""
+    the difference to the next knot taken at each point; where that
+    difference overflows, (1 - frac)*lo + frac*hi."""
     k = np.asarray(knots, dtype=float)
     n = k.size
     grid = np.concatenate((k[-1:], k))
@@ -159,8 +160,10 @@ def interpolant_per_point_difference(knots, t):
         snapped = np.abs(u - nearest) <= KNOT_SNAP_ULPS * np.maximum(1.0, u)
         left = np.where(snapped, nearest, below).astype(int) % n
         frac = np.where(snapped, 0.0, u - below)
-    lo = grid[left]
-    out = lo + frac * (grid[left + 1] - lo)
+    lo, hi = grid[left], grid[left + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = lo + frac * (hi - lo)
+        out = np.where(np.isinf(hi - lo), (1.0 - frac) * lo + frac * hi, out)
     return float(out) if out.ndim == 0 else out
 
 

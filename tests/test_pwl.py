@@ -158,22 +158,22 @@ def test_call_has_the_bits_of_a_difference_per_point(scale):
 
 
 def test_overflowing_knot_differences_keep_their_values():
-    """Knots near +-DBL_MAX: the differences overflow when the interpolant is
-    built, not when it is called, and every value keeps its bits (inf, and
-    NaN at a knot whose segment's slope is inf)."""
+    """Knots near +-DBL_MAX, whose differences overflow: building warns of
+    nothing, a knot query returns the stored knot, the values between such
+    knots are finite, (1 - frac)*lo + frac*hi, and the other segments keep the
+    bits of a difference per point."""
     big = sys.float_info.max
     knots = np.array([big, -big, 0.75 * big, -0.0, -big, 0.5 * big, big])
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        PiecewiseLinear(knots)
-    with np.errstate(over="ignore"):
-        L = PiecewiseLinear(knots)
-    t = _knot_points(knots.size)
-    with np.errstate(invalid="ignore"):  # 0 * inf at the knots; an overflow here would raise
-        got = L(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = interpolant_per_point_difference(knots, t)
-    assert np.isinf(got).any() and np.isnan(got[np.isfinite(t)]).any()
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    n = knots.size
+    L = PiecewiseLinear(knots)  # a RuntimeWarning here fails the test
+    at_knots = L(TWO_PI * np.arange(-n, 2 * n + 1) / n)  # x_n, x_1, ..., x_n over three periods
+    stored = np.resize(np.roll(knots, 1), 3 * n + 1)
+    assert np.array_equal(at_knots.view(np.uint64), stored.view(np.uint64))
+    t = _knot_points(n)
+    got = L(t)
+    assert np.isfinite(got[np.isfinite(t)]).all()
+    assert np.isnan(got[~np.isfinite(t)]).all()
+    _assert_same_bits(knots, t)
 
 
 def test_interpolant_rejects_small_n():
