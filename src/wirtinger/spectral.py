@@ -175,10 +175,7 @@ def canonical_form(y, basis: CyclicBasis) -> float:
 
 def _canonical_forms(ys: np.ndarray, basis: CyclicBasis) -> np.ndarray:
     """canonical_form of every row of an (m, n) array of coordinates."""
-    # Python's y ** 2 is the C library's pow(y, 2.0), which rounds differently
-    # from numpy's y * y for about 1 value in 1000 (glibc); the form keeps pow's
-    # bits.  np.float_power calls that pow on every entry; np.power does not.
-    squares = np.float_power(ys, 2.0)
+    squares = np.square(ys)
     first = _first_rotation_row(basis.n)
     terms = np.empty((len(ys), first + (basis.n - 1) // 2))
     terms[:, 0] = squares[:, 0]

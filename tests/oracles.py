@@ -283,10 +283,10 @@ def canonical_form_from_layout(y, n: int) -> float:
     terms = []
     for b in block_layout(n):
         if isinstance(b, Fixed):
-            terms.append(b.eigenvalue * y[b.index] ** 2)
+            terms.append(b.eigenvalue * np.square(y[b.index]))
         else:
             i, j = b.indices
-            terms.append(math.cos(b.angle) * (y[i] ** 2 + y[j] ** 2))
+            terms.append(math.cos(b.angle) * (np.square(y[i]) + np.square(y[j])))
     return math.fsum(terms)
 
 

@@ -139,11 +139,12 @@ def test_canonical_form_matches_rebuilt_layout_bits():
             assert canonical_form(y, basis) == canonical_form_from_layout(y, n), n
 
 
-def test_canonical_form_keeps_pow_bits():
-    """Coordinates whose y * y rounds differently from Python's y ** 2 give
-    the form of y ** 2, on every block kind."""
+def test_canonical_form_has_square_bits():
+    """Coordinates whose Python y ** 2 (the C library's pow) rounds differently
+    from the correctly rounded np.square give the form of np.square, on every
+    block kind."""
     ys = np.random.default_rng(3).standard_normal(20_000)
-    ys = ys[ys * ys != np.array([t ** 2 for t in ys.tolist()])]
+    ys = ys[np.square(ys) != np.array([t ** 2 for t in ys.tolist()])]
     assert ys.size > 5
     for n in (8, 9, 64):
         y = np.resize(ys, n)
