@@ -153,15 +153,6 @@ INF = math.inf
     ([[2.0**53, 1.0, 0.0], [2.0**53, 3.0, 0.0], [-(2.0**53), -1.0, 2.0**-60]], None),
     # cancels to far below the last bit of the largest entry
     ([[1.0, -(1.0 + 2.0**-52), 1.5 * 2.0**-52, -(1.0 + 3 * 2.0**-52) * 2.0**-56]], None),
-    ([[1e16, 1.0, -1e16], [1.0, 1e16, -1e16], [-1e16, 1e16, 1.0], [1e16, -1.0, -1e16]], None),
-    # mirrored halves: exact zero sums, whose sign math.fsum decides
-    ([[0.3, -1.7, 2.5, -2.5, 1.7, -0.3], [-1e-3, 1e20, 7.0, -7.0, -1e20, 1e-3]], None),
-    ([[math.exp(30.0), -math.exp(-30.0), 1.0], [math.exp(-30.0), math.exp(-31.0), -math.exp(-29.5)]],
-     None),
-    # below 2**-900 (the extraction assumes no underflow), and a tie at 2**-900
-    ([[2.0**-901, 3 * 2.0**-960, -(2.0**-930)], [2.0**-900, 2.0**-953, 0.0]], None),
-    # at DBL_MAX/(n+2), where sigma overflows, and an eighth of it
-    ([[MAX / 5, MAX / 5, -MAX / 5], [MAX / 40, -MAX / 40, MAX / 40 * 2.0**-60]], None),
     ([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, -1.0, -0.0]], None),
     ([[TINY, TINY, TINY], [-TINY, 2.0**-1022, TINY], [2.0**-1022, -(2.0**-1023), -TINY]], None),
     ([[INF, 1.0, 2.0], [1.0, 2.0, 3.0], [-INF, -INF, 1.0]], None),
@@ -171,6 +162,16 @@ INF = math.inf
     # fsum overflows adding in order, though the exact sum is 1
     ([[1.0, 2.0, 3.0, 4.0, 5.0], [MAX, MAX, -MAX, -MAX, 1.0]], OverflowError),
     ([[MAX, -MAX, MAX / 16], [MAX / 4, MAX / 4, -MAX / 4]], None),
+    ([[1e16, 1.0, -1e16], [1.0, 1e16, -1e16], [-1e16, 1e16, 1.0], [1e16, -1.0, -1e16]], None),
+    # mirrored halves: exact zero sums, whose sign math.fsum decides
+    ([[0.3, -1.7, 2.5, -2.5, 1.7, -0.3], [-1e-3, 1e20, 7.0, -7.0, -1e20, 1e-3]], None),
+    ([[math.exp(30.0), -math.exp(-30.0), 1.0], [math.exp(-30.0), math.exp(-31.0), -math.exp(-29.5)]],
+     None),
+    # either side of 2**-900 (the extraction assumes no underflow), and a tie at it
+    ([[2.0**-901, 3 * 2.0**-960, -(2.0**-930)], [2.0**-899, 3 * 2.0**-960, -(2.0**-930)],
+      [2.0**-900, 2.0**-953, 0.0]], None),
+    # at DBL_MAX/(n+2), where sigma overflows, and at 1/64 of it, the largest scale extracted
+    ([[MAX / 5, MAX / 5, -MAX / 5], [MAX / 320, MAX / 320, -MAX / 640]], None),
 ])
 def test_fsum_rows_pinned_cases(rows, raises):
     outcome = _assert_fsum_rows_bits_on_both_routes(rows)
@@ -269,7 +270,7 @@ def test_fsum_rows_matches_math_fsum_bits(m, n, seed, kind, exponent, specials):
         x -= x.mean(axis=1, keepdims=True)
     elif kind == "integers":  # sums with many exact half-ulp ties
         x = rng.integers(-(2**54), 2**54, (m, n)).astype(float)
-    elif kind == "mirrored":  # exact zero sums
+    elif kind == "mirrored":  # exact zero sums, or the middle entry for odd n
         x[:, n - n // 2:] = -x[:, : n // 2][:, ::-1]
     elif kind == "low_bits":  # same-sign rows, every low bit random
         x = np.sign(x[:, :1]) * (1.0 + rng.integers(0, 2**52, (m, n)) * 2.0**-52)
