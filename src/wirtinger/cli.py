@@ -24,7 +24,7 @@ from .analysis import (
     named_function,
     rayleigh_sweep,
 )
-from .core import _require_size
+from .core import TWO_PI, _require_size
 from .errors import (
     ConstraintViolation,
     ConvergenceFailure,
@@ -56,8 +56,10 @@ HARMONICS_MAX_ABS_SUM = sys.float_info.max ** 0.5 / (2 * SAMPLE_MAX_N)
 # bounds writes each row as it is made, so its memory does not grow with the
 # sizes: 10^5 sizes take about 1.5 s at a peak RSS of 35 MiB, what importing the
 # package takes (90 MiB when the rows were held).  The cap bounds the run time.
-# n itself is not capped: the margin is exact at n = 10^8.
+# The margin, about a^4/24 with a = 2*pi/n, is a normal double up to BOUNDS_MAX_N,
+# which correctly rounded square roots make the same on every platform.
 BOUNDS_MAX_SIZES = 100_000
+BOUNDS_MAX_N = int(TWO_PI / math.sqrt(math.sqrt(24 * sys.float_info.min)))
 # sweep's time grows with its total samples: `sweep --n 1048576` takes about 1.1 s,
 # and four sizes of 2^20 about 3.7 s.  The cap bounds the run time.
 SWEEP_MAX_SAMPLES = 4 * SAMPLE_MAX_N
@@ -167,12 +169,15 @@ def _make_config(args) -> argparse.Namespace:
         args.fn = _resolve_function(args)
         if largest > SAMPLE_MAX_N:
             raise ConfigError(f"{cmd} capped at n <= {SAMPLE_MAX_N}")
-    # a range's total from its ends and length; a repeated size runs once
-    total = (ns[0] + ns[-1]) * len(ns) // 2 if isinstance(ns, range) else sum(set(ns))
+    # a range's length and total from its ends (len() fails past 2**63); a repeated size runs once
+    count = ns[-1] - ns[0] + 1 if isinstance(ns, range) else len(ns)
+    total = (ns[0] + ns[-1]) * count // 2 if isinstance(ns, range) else sum(set(ns))
     if cmd == "sweep" and total > SWEEP_MAX_SAMPLES:
         raise ConfigError(f"sweep capped at {SWEEP_MAX_SAMPLES} samples in all, got {total}")
-    if cmd == "bounds" and len(ns) > BOUNDS_MAX_SIZES:
+    if cmd == "bounds" and count > BOUNDS_MAX_SIZES:
         raise ConfigError(f"bounds capped at {BOUNDS_MAX_SIZES} sizes")
+    if cmd == "bounds" and largest > BOUNDS_MAX_N:
+        raise ConfigError(f"bounds capped at n <= {BOUNDS_MAX_N} (the margin underflows past it)")
     if cmd == "fourier" and len(ns) != 1:
         raise ConfigError("fourier needs a single --n value")
     # fail fast: oracle_max would raise only after every smaller n had run

@@ -17,17 +17,15 @@ TWO_PI = 2.0 * math.pi
 # Centered vectors below this Euclidean norm are treated as zero.
 DEGENERATE_NORM = 1e-300
 
-# fsum_rows takes the whole-array route from this many rows or this many entries
-# (m*n) on, and calls math.fsum row by row below both.  Measured on squared
-# Gaussian rows (whole-array time over row-by-row time, numpy 2.4, one Xeon
-# core): m=1: 0.74-1.12 at n=1024, 0.39 at n=2048, 0.18 at 4096, 0.07 at 16384;
-# m=2, n=1024: 1.88; m=5: 1.59 at n=160, 1.26 at n=256, 1.0 at n=410, 0.92 at
-# n=512; m=10, n=160: 0.93; m=20: 1.34 at n=32, 0.42 at n=160; m=30, n=32: 0.89;
-# m=100: 1.15 at n=4, 0.84 at n=8; m=128, n=4: 1.09; m=160: 1.17 at n=2, 0.81
-# at n=3, 0.73 at n=4; m=205: 0.60 at n=4, 0.22 at n=19.  The whole-array route
-# costs about 30 us however small the array, and more per entry when few rows
-# share each step; a row of math.fsum costs about 0.25 us plus 0.04 us an entry.
-FSUM_ROWS_MIN_ROWS = 160
+# fsum_rows takes the whole-array route from this many entries (m*n) on, and calls
+# math.fsum row by row below it.  Measured on squared Gaussian rows (whole-array time
+# over row-by-row time, numpy 2.4, one Xeon core): m=1: 0.74-1.12 at n=1024, 0.39 at
+# n=2048, 0.18 at 4096, 0.07 at 16384; m=2, n=1024: 1.88; m=5: 1.59 at n=160, 1.26 at
+# n=256, 1.0 at n=410, 0.92 at n=512; m=10, n=160: 0.93; m=20: 1.34 at n=32, 0.42 at
+# n=160.  The whole-array route costs about 30 us however small the array, and more
+# per entry when few rows share each step; a row of math.fsum costs about 0.25 us
+# plus 0.04 us an entry.  Many short rows gain little: verify's 205-row draws at
+# n = 4..9 take 1.3 ms here, 0.7 ms whole-array, under 1% of its draws at n = 4..160.
 FSUM_ROWS_MIN_ENTRIES = 2048
 # The whole-array route leaves to math.fsum the rows whose largest |entry| is
 # below _MIN_SCALE, and those whose sigma reaches _MAX_SIGMA, which may overflow
@@ -42,6 +40,7 @@ def _require_size(n: int) -> None:
 
 
 def _require_rotation_block(n: int, k: int) -> None:
+    _require_size(n)
     if not 1 <= k <= (n - 1) // 2:
         raise BlockOutOfRange(f"need 1 <= k <= {(n - 1) // 2} for n={n}, got {k}")
 
@@ -92,7 +91,7 @@ def fsum_rows(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
-    if m < FSUM_ROWS_MIN_ROWS and m * n < FSUM_ROWS_MIN_ENTRIES:
+    if m * n < FSUM_ROWS_MIN_ENTRIES:
         return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
     with np.errstate(all="ignore"):
         low = np.array(x.T, order="C")  # a copy, so that each step spans all rows

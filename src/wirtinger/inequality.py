@@ -101,13 +101,14 @@ def check_inequality(x) -> InequalityReport:
     )
 
 
-def check_inequality_rows(xs) -> np.ndarray:
-    """check_inequality's slack for every row of an (m, n) array, with its bits.
+def _require_constraints(xs) -> np.ndarray:
+    """xs as an (m, n) float array if check_inequality accepts every row, else what
+    it raises on the first row it rejects.
 
-    Raises what check_inequality raises on the first row on which it raises.
-    A row that it accepts has |x_j| <= 1 + 1e-10, so a row with a larger or
-    non-finite entry is one it rejects, and the rows before that one sum
-    without overflow.
+    A numpy sum of n products errs by at most gamma_n * sum|terms| (Higham, ch. 3),
+    and a row with |x|^2 <= c = 1 + CONSTRAINT_TOL has sum|x_j| <= sqrt(n c).  A row
+    whose float |x|^2 - 1 and sum clear their tolerances by 2*n*eps*c (about 4 gamma_n)
+    times 1 and sqrt(n) passes; check_inequality redoes the others, in order.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.size == 0:
@@ -115,13 +116,23 @@ def check_inequality_rows(xs) -> np.ndarray:
     n = xs.shape[1]
     if n < 4:
         check_inequality(xs[0])  # raises InvalidSize, or NonFinite before it
-    wild = ~(np.abs(xs).max(axis=1) <= 2.0)  # written so that NaN is wild
-    tame = xs[:np.argmax(wild)] if wild.any() else xs
-    mean, norm_sq = fsum_rows(tame) / n, fsum_rows(np.square(tame))
-    failing = (np.abs(mean) > CONSTRAINT_TOL) | (np.abs(norm_sq - 1.0) > CONSTRAINT_TOL)
-    if failing.any() or len(tame) < len(xs):
-        check_inequality(xs[np.argmax(failing) if failing.any() else len(tame)])  # raises
-    return discrete_bound(n) - cyclic_correlation_rows(xs)
+    gamma = 2 * n * EPS * (1.0 + CONSTRAINT_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # written as "within the margin" so that NaN and inf rows fail
+        passed = ((np.abs(np.einsum("ij,ij->i", xs, xs) - 1.0) <= CONSTRAINT_TOL - gamma)
+                  & (np.abs(xs.sum(axis=1)) <= n * CONSTRAINT_TOL - gamma * math.sqrt(n)))
+    for x in xs[~passed]:
+        check_inequality(x)  # raises on the first row it rejects
+    return xs
+
+
+def check_inequality_rows(xs) -> np.ndarray:
+    """check_inequality's slack for every row of an (m, n) array, with its bits.
+
+    Raises what check_inequality raises on the first row on which it raises.
+    """
+    xs = _require_constraints(xs)
+    return discrete_bound(xs.shape[1]) - cyclic_correlation_rows(xs)
 
 
 class OracleResult(NamedTuple):
@@ -286,24 +297,13 @@ def random_unit_zero_mean_rows(n: int, m: int, rng: "np.random.Generator") -> np
 def max_violation(xs) -> float:
     """max(0, -slack) over the rows of an (m, n) array, each checked as by check_inequality.
 
-    A numpy sum of n products errs by at most gamma_n * sum|terms| (Higham, ch. 3),
-    and a unit row has sum|x_j x_{j-1}| <= |x|^2 and sum|x_j| <= sqrt(n)|x|.  Rows whose
-    margins clear 2*n*eps (>= 4 gamma_n, room for the roundings of the margins themselves)
-    times those bounds are decided; check_inequality_rows redoes the rest.
+    A row that _require_constraints passes has |x|^2 <= 1 + 2e-10, so its numpy
+    correlation errs by at most gamma_n |x|^2: a float slack above 2*n*eps decides it.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.size == 0:
-        raise ValueError("need a non-empty (m, n) array of sample vectors")
+    xs = _require_constraints(xs)
     n = xs.shape[1]
-    _require_size(n)
-    gamma = 2 * n * EPS
-    norm_sq = np.einsum("ij,ij->i", xs, xs)
     slack = discrete_bound(n) - np.einsum("ij,ij->i", xs, np.roll(xs, 1, axis=1))
-    # written as "margin clears the bound" so that NaN and inf rows are undecided
-    decided = (
-        (np.abs(norm_sq - 1.0) + gamma * norm_sq <= CONSTRAINT_TOL)
-        & (np.abs(xs.sum(axis=1)) + gamma * np.sqrt(n * norm_sq) <= n * CONSTRAINT_TOL)
-        & (slack > gamma * norm_sq)
-    )
-    undecided = xs[~decided]
-    return max(0.0, -float(check_inequality_rows(undecided).min())) if len(undecided) else 0.0
+    if slack.min() > 2 * n * EPS:
+        return 0.0
+    undecided = xs[slack <= 2 * n * EPS]
+    return max(0.0, -float((discrete_bound(n) - cyclic_correlation_rows(undecided)).min()))

@@ -117,6 +117,5 @@ def inner_product(x, y) -> float:
 def basis_norm(n: int, k: int) -> float:
     """Squared interpolant norm (4*pi/3n)(1 + cos(2*pi*k/n)/2) of the block-k
     cosine and sine basis vectors; both share it."""
-    _require_size(n)
     _require_rotation_block(n, k)
     return (4.0 * math.pi / (3.0 * n)) * (1.0 + 0.5 * math.cos(TWO_PI * k / n))

@@ -285,6 +285,10 @@ class TestFourierQuadrature:
         table = fourier_quadrature(named_function("mix13"), 4)
         assert table[2][1] == pytest.approx(0.5, abs=1e-10)
 
+    def test_needs_a_harmonic(self):
+        with pytest.raises(InvalidSize, match="jmax >= 1"):
+            fourier_quadrature(named_function("sin1"), 0)
+
     def test_odd_function_has_no_cosine_terms(self):
         table = fourier_quadrature(named_function("cubicodd"), 4)
         for j, a, b in table:

@@ -12,6 +12,7 @@ import pytest
 from oracles import verify_residuals_per_vector
 
 from wirtinger.cli import (
+    BOUNDS_MAX_N,
     HARMONICS_MAX_ABS_SUM,
     SAMPLE_MAX_N,
     SWEEP_MAX_SAMPLES,
@@ -34,12 +35,23 @@ def test_parse_n_spec_forms():
     assert parse_n_spec("8,16,32") == (8, 16, 32)
 
 
-def test_verify_passes_small_range(capsys):
-    assert main(["verify", "--n", "4..10"]) == 0
+def test_verify_passes_small_range(capsys, tmp_path):
+    """verify prints its checks, and --out writes them as CSV, with the
+    string columns check and status unquoted."""
+    out_csv = tmp_path / "v.csv"
+    assert main(["verify", "--n", "4..10", "--out", str(out_csv)]) == 0
     out = capsys.readouterr().out
     for check in ("gram", "action", "canonical", "slack", "oracle"):
         assert check in out
     assert "FAIL" not in out
+    header, *rows = out_csv.read_text().splitlines()
+    assert header == "check,max_residual,threshold,status"
+    checks = []
+    for row in rows:
+        check, residual, threshold, status = row.split(",")
+        checks.append(check)
+        assert float(residual) <= float(threshold) and status == "pass"
+    assert checks == ["gram", "action", "canonical", "slack", "oracle"]
 
 
 @pytest.mark.parametrize("seed", [1, 7, 25, 42, 58])
@@ -107,6 +119,12 @@ def test_library_size_errors_are_usage_errors(argv, tmp_path, capsys):
     ["verify", "--n=-1000000000000..5"],
     ["maximize", "--n=-100000000..5"],
     ["bounds", "--n", "4..1000000000000"],
+    # ranges longer than len() can return
+    ["verify", "--n", "4..100000000000000000000"],
+    ["bounds", "--n", "4..100000000000000000000"],
+    # past the n where bounds' margin is a normal double (at 10^100 it is 0)
+    ["bounds", "--n", str(BOUNDS_MAX_N + 1)],
+    ["bounds", "--n", str(10**100)],
 ])
 def test_size_cap_checked_before_the_sizes_are_built(argv, tmp_path, capsys):
     """A range far past a cap, or starting far below n = 4, is refused from its
@@ -172,6 +190,19 @@ def test_bounds_stdout(capsys):
     assert int(first[0]) == 4
     assert float(first[3]) == pytest.approx(0.1258, abs=5e-5)
     assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
+
+
+def test_bounds_margin_is_normal_at_its_cap(capsys):
+    """The margin, about a^4/24 with a = 2*pi/n, falls below the smallest
+    normal double just past BOUNDS_MAX_N.  At the cap bounds prints a normal
+    margin inside criterion 05's bracket a^4/24 - a^6/80 <= margin <= a^4/24,
+    to 8 ulps relative."""
+    assert main(["bounds", "--n", str(BOUNDS_MAX_N)]) == 0
+    margin = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
+    a = 2.0 * math.pi / BOUNDS_MAX_N
+    assert margin >= sys.float_info.min
+    rel = 8 * 2.0**-52
+    assert (a**4 / 24 - a**6 / 80) * (1 - rel) <= margin <= a**4 / 24 * (1 + rel)
 
 
 def test_bounds_writes_each_row_as_it_is_made(capsys, monkeypatch):
@@ -422,8 +453,19 @@ def test_maximize_range(capsys):
     assert all(float(line.split(",")[3]) <= 1e-10 for line in lines[1:])
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     assert main(["verify", "--n", "banana"]) == 2
+    # each refused by its own check, named in its message
+    for argv, message in [
+        (["bounds", "--n", "8..4"], "empty range '8..4'"),
+        (["bounds", "--n", ","], "--n parsed to an empty set"),
+        (["sweep", "--harmonics=abc", "--n", "8"], "cannot parse --harmonics 'abc'"),
+        (["sweep", "--harmonics=,", "--n", "8"], "--harmonics needs at least one coefficient"),
+        (["fourier", "--fn", "sin1", "--n", "16,32"], "fourier needs a single --n value"),
+    ]:
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["sweep", "--n", "8,16"]) == 2  # needs a function
     assert main(["sweep", "--fn", "sin1", "--harmonics", "1,0", "--n", "8"]) == 2
     assert main(["no-such-command"]) == 2

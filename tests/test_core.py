@@ -16,7 +16,7 @@ from wirtinger import (
     shift,
 )
 from wirtinger import core
-from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, FSUM_ROWS_MIN_ROWS, fdot, fsum, fsum_rows
+from wirtinger.core import FSUM_ROWS_MIN_ENTRIES, fdot, fsum, fsum_rows
 
 REL_TOL = 1e-13
 
@@ -55,6 +55,12 @@ def test_correlation_examples():
 def test_correlation_rejects_non_finite():
     with pytest.raises(NonFinite):
         cyclic_correlation([1.0, math.nan, 0.0])
+
+
+def test_as_samples_needs_a_non_empty_vector():
+    for x in ([[1.0, 2.0], [3.0, 4.0]], [], np.empty((0, 4))):
+        with pytest.raises(ValueError, match="non-empty 1-D array"):
+            core.as_samples(x)
 
 
 def test_center_normalize_example():
@@ -127,14 +133,14 @@ def _fsum_each_row(x) -> np.ndarray:
 def _assert_fsum_rows_bits_on_both_routes(rows):
     """fsum_rows gives math.fsum's bits, or raises as it does, on `rows` as
     given, padded with random rows past the whole-array entry threshold, and
-    padded to one row below and to the whole-array row threshold.  Returns
-    math.fsum's outcome on `rows`."""
+    padded to the last row count below that threshold and the first at it.
+    Returns math.fsum's outcome on `rows`."""
     rows = np.asarray(rows, dtype=float)
     m, n = rows.shape
     past_entries = -(-FSUM_ROWS_MIN_ENTRIES // n)
-    filler = np.random.default_rng(n).standard_normal((max(past_entries, FSUM_ROWS_MIN_ROWS), n))
-    padded = [np.concatenate([filler[:past_entries], rows, filler[:past_entries]])]
-    for total in (FSUM_ROWS_MIN_ROWS - 1, FSUM_ROWS_MIN_ROWS):
+    filler = np.random.default_rng(n).standard_normal((past_entries, n))
+    padded = [np.concatenate([filler, rows, filler])]
+    for total in (past_entries - 1, past_entries):
         if total > m:
             padded.append(np.concatenate([rows, filler[:total - m]]))
     for x in (rows, *padded):
@@ -179,15 +185,17 @@ def test_fsum_rows_pinned_cases(rows, raises):
 
 
 @pytest.mark.parametrize("m, n, whole", [
-    (FSUM_ROWS_MIN_ROWS - 1, 4, False),
-    (FSUM_ROWS_MIN_ROWS, 4, True),
-    (205, 8, True),  # verify's draw at n = 8
+    (FSUM_ROWS_MIN_ENTRIES // 4 - 1, 4, False),
+    (FSUM_ROWS_MIN_ENTRIES // 4, 4, True),
+    (205, 9, False),  # verify's draw at n = 9, of 1845 entries
+    (205, 10, True),  # and at n = 10, of 2050
     (5, FSUM_ROWS_MIN_ENTRIES // 5, False),
     (5, FSUM_ROWS_MIN_ENTRIES // 5 + 1, True),
 ])
 def test_fsum_rows_route_by_rows_and_entries(m, n, whole, monkeypatch):
-    """Below both thresholds every row goes through math.fsum; from either one
-    on, the whole-array route certifies most random rows without it."""
+    """Below the entry threshold every row goes through math.fsum, however many
+    rows there are; from it on, the whole-array route certifies most random
+    rows without it."""
     x = np.random.default_rng(m * n).standard_normal((m, n))
     calls = []
     fsum = math.fsum

@@ -163,13 +163,13 @@ def test_rows_match_per_row_fsum_bits(m):
             assert rng_rows.standard_normal(2).tobytes() == rng_ref.standard_normal(2).tobytes()
 
 
-@pytest.mark.parametrize("n", [4, 19, 20, 21, 160, 512])
+@pytest.mark.parametrize("n", [4, 10, 19, 20, 21, 160, 512])
 def test_one_draw_of_205_rows_equals_5_then_200(n):
     """verify draws its 5 canonical and 200 slack rows in one call.  That gives
     the rows of a draw of 5 and then one of 200, bit for bit, and leaves the
-    generator in the same state.  205 and 200 rows take fsum_rows' whole-array
-    route at every n (they are at least FSUM_ROWS_MIN_ROWS); 5 rows do from
-    n = 410 on."""
+    generator in the same state.  fsum_rows takes its whole-array route from
+    2048 entries on: 205 rows from n = 10 on, 200 rows from n = 11 on and
+    5 rows from n = 410 on."""
     rng_one, rng_two = np.random.default_rng([n, 205]), np.random.default_rng([n, 205])
     one = random_unit_zero_mean_rows(n, 205, rng_one)
     two = np.concatenate([random_unit_zero_mean_rows(n, 5, rng_two),
@@ -257,6 +257,38 @@ def test_check_inequality_rows_raises_as_the_first_failing_row():
         check_inequality_rows(xs[0])
     with pytest.raises(ValueError):
         check_inequality_rows(xs[:0])
+
+
+def test_check_inequality_rows_redoes_the_rows_its_margins_cannot_decide(monkeypatch):
+    """Rows whose float norm or mean lies within the 2*n*eps margin of
+    CONSTRAINT_TOL go to check_inequality one at a time.  Those it accepts
+    keep their per-row slack bits.  A row whose exact norm is just past the
+    tolerance, though its numpy norm is not, raises its per-row message:
+    with no margin, or with no check of the undecided rows, it would pass."""
+    n = 256
+    tol = inequality.CONSTRAINT_TOL
+    u = random_unit_zero_mean_rows(n, 40, np.random.default_rng(29))
+    # norms within a few ulps of 1 + tol, and means just inside tol
+    steps = 1.0 + np.arange(-8, 9)[:, None, None] * 2.0**-53
+    scaled = (u * math.sqrt(1.0 + tol) * steps).reshape(-1, n)
+    outcomes = [_slack_outcome(_slacks_per_row, [x]) for x in scaled]
+    accepted = np.array([not isinstance(o, tuple) for o in outcomes])
+    inside = np.concatenate([scaled[accepted], u[:5] + (tol - 1e-15)])
+    past = scaled[~accepted & (np.abs(np.einsum("ij,ij->i", scaled, scaled) - 1.0) <= tol)]
+    assert len(past) > 0
+    redone = []
+    check = inequality.check_inequality
+    monkeypatch.setattr(inequality, "check_inequality", lambda x: redone.append(1) or check(x))
+    slacks = check_inequality_rows(inside)
+    assert len(redone) == len(inside)
+    monkeypatch.undo()
+    assert slacks.tobytes() == np.array(_slacks_per_row(inside)).tobytes()
+    assert _same_float(max_violation(inside), _max_violation_per_row(inside))
+    rows = np.concatenate([inside, past[:1], u])
+    want = _slack_outcome(_slacks_per_row, rows)
+    assert want[0] is ConstraintViolation
+    assert _slack_outcome(check_inequality_rows, rows) == want
+    assert _slack_outcome(max_violation, rows) == want
 
 
 def _max_violation_per_row(xs) -> float:

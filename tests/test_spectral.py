@@ -22,11 +22,13 @@ from wirtinger import (
     DimensionMismatch,
     InvalidSize,
     NonFinite,
+    basis_norm,
     build_basis,
     canonical_form,
     canonical_residuals,
     coordinates,
     cyclic_correlation,
+    extremal_span_residual,
     shift,
     verify_action,
 )
@@ -327,6 +329,16 @@ def test_aligned_harmonics_live_in_their_block():
             assert project(v, b, k) == pytest.approx(norm_sq, rel=1e-13)
     with pytest.raises(BlockOutOfRange):
         aligned_harmonics(16, 8)
+
+
+def test_rotation_blocks_follow_the_size_rule():
+    """n = 3 has a block k = 1, but every function that takes a rotation block
+    raises InvalidSize below n = 4, as basis_norm and block_energies did."""
+    for call in (lambda: aligned_harmonics(3, 1), lambda: basis_norm(3, 1),
+                 lambda: extremal_span_residual([1.0, 0.0, -1.0]),
+                 lambda: block_energies([1.0, 0.0, -1.0])):
+        with pytest.raises(InvalidSize):
+            call()
 
 
 def test_import_does_not_load_numpy_fft():
