@@ -79,7 +79,8 @@ class ConfigError(Exception):
 
 
 def parse_n_spec(text: str):
-    """Parse --n: an integer '8', a range '4..64' (left unbuilt), or a list '8,16,32'."""
+    """Parse --n: an integer '8', a range '4..64' (left unbuilt), or a list '8,16,32',
+    as a range or a sorted tuple of distinct sizes: a repeated size runs once."""
     text = text.strip()
     try:
         if ".." in text:
@@ -89,7 +90,7 @@ def parse_n_spec(text: str):
                 raise ConfigError(f"empty range {text!r}")
             return range(lo, hi + 1)
         if "," in text:
-            return tuple(int(p) for p in text.split(",") if p.strip())
+            return tuple(sorted({int(p) for p in text.split(",") if p.strip()}))
         return (int(text),)
     except ValueError:
         raise ConfigError(f"cannot parse --n value {text!r}")
@@ -113,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=42,
                            help="seed for the random test vectors (default 42)")
         p.add_argument("--out", default=None, help="output file (atomic write)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
+        p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default=None)
         if name in ("sweep", "fourier"):
             p.add_argument("--fn", default=None,
                            help="named test function: " + ", ".join(FUNCTION_NAMES))
@@ -147,18 +148,16 @@ def _resolve_function(args) -> PeriodicFunction:
 
 
 def _make_config(args) -> argparse.Namespace:
-    """The parsed namespace, with `ns` (sorted, deduplicated) and `fn` resolved.
+    """The parsed namespace, with `ns` and `fn` resolved.
 
     Size rules (n >= 4, jmax >= 1, the aliasing guard) are the library's own:
     its InvalidSize is raised at the smallest n, before any output.  A range
-    is already sorted and deduplicated, so it stays unbuilt, and its ends are
-    checked before anything iterates it.
+    stays unbuilt, and its ends are checked before anything iterates it.
     """
     ns = parse_n_spec(args.n)
     if not ns:
         raise ConfigError("--n parsed to an empty set")
-    # a range's last size is its largest, and max() would iterate it
-    largest = ns[-1] if isinstance(ns, range) else max(ns)
+    largest = ns[-1]
     tol = getattr(args, "tol", None)
     if tol is not None and not 0.0 < tol < math.inf:  # one comparison: NaN fails it
         raise ConfigError(f"--tol must be finite and positive, got {tol}")
@@ -169,29 +168,30 @@ def _make_config(args) -> argparse.Namespace:
         args.fn = _resolve_function(args)
         if largest > SAMPLE_MAX_N:
             raise ConfigError(f"{cmd} capped at n <= {SAMPLE_MAX_N}")
-    # a range's length and total from its ends (len() fails past 2**63); a repeated size runs once
+    # a range's length and total from its ends (len() fails past 2**63)
     count = ns[-1] - ns[0] + 1 if isinstance(ns, range) else len(ns)
-    total = (ns[0] + ns[-1]) * count // 2 if isinstance(ns, range) else sum(set(ns))
+    total = (ns[0] + ns[-1]) * count // 2 if isinstance(ns, range) else sum(ns)
     if cmd == "sweep" and total > SWEEP_MAX_SAMPLES:
         raise ConfigError(f"sweep capped at {SWEEP_MAX_SAMPLES} samples in all, got {total}")
     if cmd == "bounds" and count > BOUNDS_MAX_SIZES:
         raise ConfigError(f"bounds capped at {BOUNDS_MAX_SIZES} sizes")
     if cmd == "bounds" and largest > BOUNDS_MAX_N:
         raise ConfigError(f"bounds capped at n <= {BOUNDS_MAX_N} (the margin underflows past it)")
-    if cmd == "fourier" and len(ns) != 1:
+    if cmd == "fourier" and count != 1:
         raise ConfigError("fourier needs a single --n value")
     # fail fast: oracle_max would raise only after every smaller n had run
     if cmd in ("verify", "maximize") and largest > ORACLE_MAX_N:
         raise ConfigError(f"{cmd} capped at n <= {ORACLE_MAX_N} (eigensolver range)")
+    if cmd == "verify" and args.fmt and not args.out:  # its stdout is a text table
+        raise ConfigError("verify --format needs --out, the file it encodes")
+    args.fmt = args.fmt or "csv"
     if args.out and os.path.isdir(args.out):  # writing would fail only after all the work
         raise ConfigError(f"--out {args.out!r} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ConfigError(f"--out {args.out!r} is in a directory that does not exist")
     if isinstance(ns, range):
         _require_size(ns[0])
-        args.ns = ns
-    else:
-        args.ns = tuple(sorted(set(ns)))
+    args.ns = ns
     return args
 
 

@@ -45,11 +45,12 @@ def _require_rotation_block(n: int, k: int) -> None:
         raise BlockOutOfRange(f"need 1 <= k <= {(n - 1) // 2} for n={n}, got {k}")
 
 
-def as_samples(x) -> np.ndarray:
-    """Coerce to a finite, non-empty 1-D float array."""
+def as_samples(x, ndim: int = 1) -> np.ndarray:
+    """Coerce to a finite float array: a non-empty 1-D sample vector, or with
+    ndim=2 an (m, n) array of them as rows, n >= 1 and m >= 0."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("sample vector must be a non-empty 1-D array")
+    if v.ndim != ndim or v.shape[-1] == 0:
+        raise ValueError(f"sample vector must be a non-empty {ndim}-D array")
     if not np.all(np.isfinite(v)):
         raise NonFinite("sample vector entries must be finite")
     return v
@@ -61,11 +62,8 @@ def fdot(x, y) -> float:
 
 
 def fsum(x) -> float:
-    """Compensated sum of the entries: math.fsum's bits, through fsum_rows."""
-    v = np.asarray(x, dtype=float)
-    if v.size < FSUM_ROWS_MIN_ENTRIES:
-        return math.fsum(v.tolist())
-    return float(fsum_rows(v.reshape(1, -1))[0])
+    """Compensated sum of the entries: math.fsum's bits, as one row of fsum_rows."""
+    return float(fsum_rows(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def fsum_rows(x) -> np.ndarray:
@@ -130,7 +128,8 @@ def cyclic_correlation(x) -> float:
 
 
 def cyclic_correlation_rows(xs) -> np.ndarray:
-    """cyclic_correlation of every row of an (m, n) array, with its bits."""
+    """cyclic_correlation of every row of an (m, n) array, with its bits and its exceptions."""
+    xs = as_samples(xs, ndim=2)
     return fsum_rows(xs * np.roll(xs, 1, axis=1))
 
 

@@ -30,7 +30,7 @@ MAX_DEPTH = 52
 # 262,144 open intervals and 50 MiB allocated at the peak, for any number of
 # components.  The largest count a passing call of the tests, demos or
 # benchmark takes is 262,160 (`fourier --fn cos1 --jmax 64`).  The forced
-# depths are checked as one call per depth would be, before their one call.
+# depths' one call is checked after it returns, at depth MIN_DEPTH.
 EVAL_BUDGET = 2**20
 # Bisections forced before an interval may be accepted.  Guards against
 # integrands that happen to vanish on the coarse dyadic grid (e.g.
@@ -94,10 +94,7 @@ def _integral(f, lo, hi, tol: float) -> np.ndarray:
     """The integral over [lo, hi], lo < hi, as an array of f's rows."""
     # The forced depths split every interval: their points are the recursive
     # midpoints of [lo, hi], the 2**MIN_DEPTH intervals of depth MIN_DEPTH in
-    # order with their middles and quarter-points.  Checked for one component
-    # before the call, and for f's components after it.
-    for depth in range(MIN_DEPTH + 1):
-        _check_budget((4 << depth) + 1, depth, 1 << depth)
+    # order with their middles and quarter-points.
     t = np.empty((4 << MIN_DEPTH) + 1)
     t[0], t[-1] = lo, hi
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
@@ -107,8 +104,7 @@ def _integral(f, lo, hi, tol: float) -> np.ndarray:
     values = _first_call(f, t, rows=True)
     rows = values.shape[:-1]  # (c,) for c components
     evals, components = values.size, int(np.prod(rows))
-    for depth in range(MIN_DEPTH + 1):
-        _check_budget(((4 << depth) + 1) * components, depth, 1 << depth)
+    _check_budget(evals, MIN_DEPTH, 1 << MIN_DEPTH)
     # The open intervals of one depth, along the last axis: `ends2` holds the
     # ends of all their left halves, then of all their right halves, [lo | mid]
     # and [mid | hi], `fends2` f there, `fm2` f at the halves' middles, `whole`

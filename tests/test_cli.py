@@ -13,6 +13,7 @@ from oracles import verify_residuals_per_vector
 
 from wirtinger.cli import (
     BOUNDS_MAX_N,
+    BOUNDS_MAX_SIZES,
     HARMONICS_MAX_ABS_SUM,
     SAMPLE_MAX_N,
     SWEEP_MAX_SAMPLES,
@@ -33,6 +34,8 @@ def test_parse_n_spec_forms():
     assert parse_n_spec("8") == (8,)
     assert parse_n_spec("4..7") == range(4, 8)
     assert parse_n_spec("8,16,32") == (8, 16, 32)
+    # a list is sorted and each size in it kept once
+    assert parse_n_spec("32,8,16,8,32") == (8, 16, 32)
 
 
 def test_verify_passes_small_range(capsys, tmp_path):
@@ -436,6 +439,26 @@ def test_sweep_sample_cap(within, over):
         config(over)
 
 
+def test_fourier_runs_a_repeated_size_once(capsys):
+    argv = ["fourier", "--fn", "sin1", "--jmax", "2", "--n"]
+    assert main([*argv, "16"]) == 0
+    once = capsys.readouterr()
+    assert main([*argv, "16,16"]) == 0
+    assert capsys.readouterr() == once
+
+
+def test_bounds_counts_a_repeated_size_once():
+    """BOUNDS_MAX_SIZES distinct sizes pass with one of them repeated, and one
+    more distinct size is refused, checked on the config alone."""
+    def config(ns):
+        return _make_config(_build_parser().parse_args(["bounds", "--n", ",".join(map(str, ns))]))
+
+    sizes = range(4, 4 + BOUNDS_MAX_SIZES)
+    assert config([*sizes, 4, sizes[-1]]).ns == tuple(sizes)
+    with pytest.raises(ConfigError, match=f"capped at {BOUNDS_MAX_SIZES} sizes"):
+        config([*sizes, sizes[-1] + 1])
+
+
 def test_maximize_small(capsys):
     assert main(["maximize", "--n", "5"]) == 0
     out = capsys.readouterr().out
@@ -462,6 +485,9 @@ def test_usage_errors_exit_2(capsys):
         (["sweep", "--harmonics=abc", "--n", "8"], "cannot parse --harmonics 'abc'"),
         (["sweep", "--harmonics=,", "--n", "8"], "--harmonics needs at least one coefficient"),
         (["fourier", "--fn", "sin1", "--n", "16,32"], "fourier needs a single --n value"),
+        # verify prints a text table; --format encodes only its --out file
+        (["verify", "--n", "4..8", "--format", "jsonl"],
+         "verify --format needs --out, the file it encodes"),
     ]:
         capsys.readouterr()
         assert main(argv) == 2

@@ -63,6 +63,22 @@ def test_as_samples_needs_a_non_empty_vector():
             core.as_samples(x)
 
 
+@pytest.mark.parametrize("xs, error, message", [
+    (np.ones(5), ValueError, "non-empty 2-D array"),
+    (np.ones((2, 0)), ValueError, "non-empty 2-D array"),
+    (np.ones((2, 2, 2)), ValueError, "non-empty 2-D array"),
+    ([[1.0, 2.0, math.inf, 0.0]], NonFinite, "entries must be finite"),
+    ([[1.0, 2.0, 3.0, 4.0], [0.0, math.nan, 0.0, 0.0]], NonFinite, "entries must be finite"),
+])
+def test_cyclic_correlation_rows_rejects_what_cyclic_correlation_rejects(xs, error, message):
+    """A 1-D array, rows of no entries, or a row with inf or NaN raises as
+    cyclic_correlation does on a bad vector, with as_samples' messages; no
+    rows of n entries give no correlations."""
+    with pytest.raises(error, match=message):
+        cyclic_correlation_rows(xs)
+    assert cyclic_correlation_rows(np.ones((0, 5))).shape == (0,)
+
+
 def test_center_normalize_example():
     out = center_normalize([1, 1, 1, 3])
     expected = np.array([-1, -1, -1, 3]) / (2 * math.sqrt(3))
@@ -236,7 +252,7 @@ def test_fsum_rows_gaussian_ties_and_random_low_bits(n):
                                FSUM_ROWS_MIN_ENTRIES + 1, 4 * FSUM_ROWS_MIN_ENTRIES])
 def test_fdot_and_fsum_are_one_row_sums(n, monkeypatch):
     """fdot and fsum return a Python float with math.fsum's bits on either
-    side of the whole-array threshold, and call math.fsum alone below it."""
+    side of the whole-array threshold, each as one row of fsum_rows."""
     rng = np.random.default_rng(n)
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     mirrored = np.concatenate([x[: n // 2], -x[: n // 2][::-1], [0.0] * (n % 2)])
@@ -247,7 +263,7 @@ def test_fdot_and_fsum_are_one_row_sums(n, monkeypatch):
         assert type(got) is float and got.hex() == math.fsum(v.tolist()).hex()
     got = fdot(x, y)
     assert type(got) is float and got.hex() == math.fsum((x * y).tolist()).hex()
-    assert calls == ([(1, n)] * 6 if n >= FSUM_ROWS_MIN_ENTRIES else [])
+    assert calls == [(1, n)] * 6
 
 
 @pytest.mark.parametrize("m, n", [(5, 8), (205, 19), (205, 20), (3, 4096)])

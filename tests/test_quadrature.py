@@ -151,15 +151,15 @@ def test_first_call_is_the_recursion_points_through_the_forced_depths(a, b):
 
 
 @pytest.mark.parametrize("rows, budget, message, sizes", [
-    ((), 100, "at depth 5 with 32 open intervals", []),
+    ((), 100, "at depth 6 with 64 open intervals", [257]),
     ((3, 1), 700, "at depth 6 with 64 open intervals", [257]),
+    ((4081, 1), EVAL_BUDGET, "at depth 6 with 64 open intervals", [257]),
 ])
 def test_forced_depths_over_the_budget_fail_where_one_call_per_depth_did(
         rows, budget, message, sizes, monkeypatch):
-    """The forced depths' values, 4 * 2**d + 1 points through depth d, times
-    the components, are checked in order, with the message and at the depth
-    of a frontier that called f once per depth: before the call for a 1-D f,
-    which is then not called, and after it for rows."""
+    """The forced depths' one call, 4 * 2**MIN_DEPTH + 1 points times the
+    components, is checked after it returns, at depth MIN_DEPTH, for a 1-D f
+    as for rows."""
     monkeypatch.setattr(quadrature, "EVAL_BUDGET", budget)
     calls = []
     with pytest.raises(QuadratureFailure) as exc:
@@ -167,6 +167,15 @@ def test_forced_depths_over_the_budget_fail_where_one_call_per_depth_did(
                          0.0, 1.0)
     assert str(exc.value) == f"evaluation budget {budget} exhausted {message}"
     assert calls == sizes
+
+
+def test_forced_depths_take_the_real_budget_in_one_call():
+    """At EVAL_BUDGET = 2**20 the forced depths' 257 points take 4,080 rows;
+    4,081 fail after the one call (a case of the test above)."""
+    calls = []
+    assert not adaptive_simpson(lambda t: calls.append(t.size) or np.zeros((4080, t.size)),
+                                0.0, 1.0).any()
+    assert EVAL_BUDGET == 2**20 and calls == [257]
 
 
 def test_frontier_is_bounded_by_the_evaluation_budget():
