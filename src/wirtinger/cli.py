@@ -151,8 +151,9 @@ def _make_config(args) -> argparse.Namespace:
     """The parsed namespace, with `ns` and `fn` resolved.
 
     Size rules (n >= 4, jmax >= 1, the aliasing guard) are the library's own:
-    its InvalidSize is raised at the smallest n, before any output.  A range
-    stays unbuilt, and its ends are checked before anything iterates it.
+    its InvalidSize is raised at the smallest n, before any output, and n >= 4
+    is checked here first for every form of --n.  A range stays unbuilt, and
+    its ends are checked before anything iterates it.
     """
     ns = parse_n_spec(args.n)
     if not ns:
@@ -189,8 +190,7 @@ def _make_config(args) -> argparse.Namespace:
         raise ConfigError(f"--out {args.out!r} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ConfigError(f"--out {args.out!r} is in a directory that does not exist")
-    if isinstance(ns, range):
-        _require_size(ns[0])
+    _require_size(ns[0])
     args.ns = ns
     return args
 

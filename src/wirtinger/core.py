@@ -18,16 +18,18 @@ TWO_PI = 2.0 * math.pi
 DEGENERATE_NORM = 1e-300
 
 # fsum_rows takes the whole-array route from this many entries (m*n) on, and calls
-# math.fsum row by row below it.  Measured on squared Gaussian rows (whole-array time
-# over row-by-row time, numpy 2.4, one Xeon core): m=1: 0.74-1.12 at n=1024, 0.39 at
-# n=2048, 0.18 at 4096, 0.07 at 16384; m=2, n=1024: 1.88; m=5: 1.59 at n=160, 1.26 at
-# n=256, 1.0 at n=410, 0.92 at n=512; m=10, n=160: 0.93; m=20: 1.34 at n=32, 0.42 at
-# n=160.  The whole-array route costs about 30 us however small the array, and more
-# per entry when few rows share each step; a row of math.fsum costs about 0.25 us
-# plus 0.04 us an entry.  Many short rows gain little: verify's 205-row draws at
-# n = 4..9 take 1.3 ms here, 0.7 ms whole-array, under 1% of its draws at n = 4..160.
+# math.fsum row by row below it.  tests/fsum_crossover.py times both routes.  Whole-array
+# time over row-by-row time, medians of 3 runs (numpy 2.4, one Xeon core), on squared
+# Gaussian rows, whose sums the route certifies: m=1: 0.62 at n=1024, 0.33 at 2048,
+# 0.16 at 4096, 0.06 at 16384; m=2, n=1024: 0.33; m=5: 0.83 at n=160, 0.53 at 256,
+# 0.33 at 410, 0.27 at 512; m=10, n=160: 0.42; m=20: 0.94 at n=32, 0.21 at 160;
+# m=205: 0.72 at n=4, 0.38 at 9, 0.45 at 10, 0.05 at 160.  On centered rows, whose sums
+# cancel and go on to math.fsum, the ratio is 1.1-1.9 from 800 to 4096 entries and
+# 2.2-4.3 on 20 or 205 short rows.  The whole-array route costs 20-35 us however small
+# the array; a row of math.fsum about 0.25 us plus 0.04 us an entry.  Below 2048
+# entries the time that certified rows save is about what cancelling rows lose.
 FSUM_ROWS_MIN_ENTRIES = 2048
-# The whole-array route leaves to math.fsum the rows whose largest |entry| is
+# The whole-array route leaves to math.fsum the arrays whose largest |entry| is
 # below _MIN_SCALE, and those whose sigma reaches _MAX_SIGMA, which may overflow
 # inside math.fsum (it then raises).
 _FSUM_ROWS_MIN_SCALE = 2.0**-900
@@ -70,47 +72,46 @@ def fsum_rows(x) -> np.ndarray:
     """math.fsum of every row of a 2-D array, with its bits and its exceptions.
 
     Large arrays take all rows at once, by one round of error-free extraction
-    (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3).  A row
-    of n entries with max|x| < 2**e gets sigma = 2**(e + M), M = (n+1).bit_length()
-    = ceil(log2(n+2)), so sigma >= 2**M * max|x|.  Each high part
-    (sigma + x) - sigma is then a multiple of u*sigma (u = 2**-53) of size at
-    most sigma/2**M, so every partial sum of the highs stays below sigma and
-    their sum tau is exact in any order.  Each low part x - high is exact, with
-    |low| <= u*sigma, so the float sum of the lows errs by at most
-    gamma_{n-1} * n * u * sigma (Higham, Accuracy and Stability, 2nd ed.,
-    ch. 4); `bound` doubles that, which covers 1/(1 - (n-1)u) and its own
-    rounding.  A TwoSum splits tau + lows into r + t, so the exact sum lies
-    within |t| + bound of r.  r is the correctly rounded sum, as fsum's is,
-    when that is strictly less than half the spacing from |r| towards zero,
-    the smaller of its two spacings.  Every other row goes through math.fsum:
-    ties, zero sums, inf and NaN (which make t NaN), rows below 2**-900 (the
-    lemma assumes no underflow) and rows whose sigma reaches DBL_MAX/8, whose
-    sums may overflow.
+    (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3) on the
+    array as given, row-major, with one sigma for the whole call.  With every
+    |x| < 2**e, sigma = 2**(e + M), M = (n+1).bit_length() = ceil(log2(n+2)), so
+    sigma >= 2**M * max|row| for every row.  Each high part (sigma + x) - sigma
+    is then a multiple of u*sigma (u = 2**-53) of size at most sigma/2**M, so
+    every partial sum of a row's highs stays below sigma and their sum tau is
+    exact in any order.  Each low part x - high is exact, with |low| <= u*sigma,
+    so the float sum of a row's lows errs by at most gamma_{n-1} * n * u * sigma
+    (Higham, Accuracy and Stability, 2nd ed., ch. 4); `bound` doubles that,
+    which covers 1/(1 - (n-1)u) and its own rounding.  A TwoSum splits
+    tau + lows into r + t, so the exact sum lies within |t| + bound of r.  r is
+    the correctly rounded sum, as fsum's is, when that is strictly less than
+    half the spacing from |r| towards zero, the smaller of its two spacings.
+    Every other row goes through math.fsum: ties, zero sums, and rows far
+    below the array's scale, whose bound is loose against their sums.  The
+    whole array goes through math.fsum when an entry is inf or NaN, when every
+    entry is below 2**-900 (the lemma assumes no underflow), or when sigma
+    reaches DBL_MAX/8, where sums may overflow.
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
-    if m * n < FSUM_ROWS_MIN_ENTRIES:
-        return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
-    with np.errstate(all="ignore"):
-        low = np.array(x.T, order="C")  # a copy, so that each step spans all rows
-        scale = np.maximum(low.max(axis=0), -low.min(axis=0))
-        sigma = np.ldexp(1.0, np.frexp(scale)[1] + (n + 1).bit_length())
-        high = low + sigma
-        high -= sigma
-        low -= high
-        tau, lows = high.sum(axis=0), low.sum(axis=0)
-        r = tau + lows
-        v = r - tau
-        t = (tau - (r - v)) + (lows - v)
-        bound = sigma * (2.0 * n * (n - 1) * 2.0**-106)
-        magnitude = np.abs(r)
-        gap = magnitude - np.nextafter(magnitude, 0.0)
-        # written as "clears the bound" so that NaN rows are not certified
-        certified = ((np.abs(t) + bound < 0.5 * gap)
-                     & (scale >= _FSUM_ROWS_MIN_SCALE) & (sigma < _FSUM_ROWS_MAX_SIGMA))
-    for i in np.flatnonzero(~certified):
-        r[i] = math.fsum(memoryview(x[i]))
-    return r
+    if m * n >= FSUM_ROWS_MIN_ENTRIES:
+        with np.errstate(all="ignore"):
+            scale = np.maximum(x.max(), -x.min())  # NaN if an entry is
+            sigma = np.ldexp(1.0, np.frexp(scale)[1] + (n + 1).bit_length())
+        if _FSUM_ROWS_MIN_SCALE <= scale < math.inf and sigma < _FSUM_ROWS_MAX_SIGMA:
+            high = x + sigma  # the one temporary: the highs, then the lows
+            high -= sigma
+            tau = high.sum(axis=1)
+            lows = np.subtract(x, high, out=high).sum(axis=1)
+            r = tau + lows
+            v = r - tau
+            t = (tau - (r - v)) + (lows - v)
+            bound = sigma * (2.0 * n * (n - 1) * 2.0**-106)
+            magnitude = np.abs(r)
+            gap = magnitude - np.nextafter(magnitude, 0.0)
+            for i in np.flatnonzero(np.abs(t) + bound >= 0.5 * gap):
+                r[i] = math.fsum(memoryview(x[i]))
+            return r
+    return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
 
 
 def shift(x) -> np.ndarray:

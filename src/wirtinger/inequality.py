@@ -302,7 +302,8 @@ def max_violation(xs) -> float:
     """
     xs = _require_constraints(xs)
     n = xs.shape[1]
-    slack = discrete_bound(n) - np.einsum("ij,ij->i", xs, np.roll(xs, 1, axis=1))
+    correlations = np.einsum("ij,ij->i", xs[:, 1:], xs[:, :-1]) + xs[:, 0] * xs[:, -1]
+    slack = discrete_bound(n) - correlations
     if slack.min() > 2 * n * EPS:
         return 0.0
     undecided = xs[slack <= 2 * n * EPS]

@@ -29,8 +29,11 @@ MAX_DEPTH = 52
 # The budget stops a frontier that doubles at every depth at depth 18, with
 # 262,144 open intervals and 50 MiB allocated at the peak, for any number of
 # components.  The largest count a passing call of the tests, demos or
-# benchmark takes is 262,160 (`fourier --fn cos1 --jmax 64`).  The forced
-# depths' one call is checked after it returns, at depth MIN_DEPTH.
+# benchmark takes is 352,136 (8 components, inside the failing `fourier
+# --harmonics=0,1e6 --n 16`), leaving aside one test that fills the budget on
+# purpose; `fourier --fn cos1 --jmax 64 --n 257` takes 262,160, and the largest
+# one-component integral 205,041.  The forced depths' one call is checked
+# after it returns, at depth MIN_DEPTH.
 EVAL_BUDGET = 2**20
 # Bisections forced before an interval may be accepted.  Guards against
 # integrands that happen to vanish on the coarse dyadic grid (e.g.

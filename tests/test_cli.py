@@ -485,6 +485,9 @@ def test_usage_errors_exit_2(capsys):
         (["sweep", "--harmonics=abc", "--n", "8"], "cannot parse --harmonics 'abc'"),
         (["sweep", "--harmonics=,", "--n", "8"], "--harmonics needs at least one coefficient"),
         (["fourier", "--fn", "sin1", "--n", "16,32"], "fourier needs a single --n value"),
+        # n >= 4 before fourier's aliasing guard, whatever the form of --n
+        *((["fourier", "--fn", "sin1", "--n", spec], "need n >= 4, got 3")
+          for spec in ("3", "3,3", "3..3")),
         # verify prints a text table; --format encodes only its --out file
         (["verify", "--n", "4..8", "--format", "jsonl"],
          "verify --format needs --out, the file it encodes"),

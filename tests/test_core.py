@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,39 @@ INF = math.inf
 def test_fsum_rows_pinned_cases(rows, raises):
     outcome = _assert_fsum_rows_bits_on_both_routes(rows)
     assert (outcome[0] if isinstance(outcome, tuple) else None) is raises
+
+
+def test_fsum_rows_one_scale_sends_rows_far_below_it_to_fsum(monkeypatch):
+    """Past the entry threshold, a row near 2**-800 beside one near 2**800 and
+    Gaussian filler: the whole-array route extracts with the array's one scale,
+    so the small row (and the filler) go to math.fsum and the large row is
+    certified, and every row has math.fsum's bits."""
+    x = np.random.default_rng(800).standard_normal((16, 160))
+    x[3] = np.ldexp(x[3], -800)
+    x[7] = np.ldexp(x[7], 800)
+    assert x.size >= FSUM_ROWS_MIN_ENTRIES
+    want = _fsum_each_row(x)
+    sent = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: sent.append(bytes(row)) or fsum(row))
+    assert fsum_rows(x).tobytes() == want.tobytes()
+    assert x[3].tobytes() in sent and x[7].tobytes() not in sent
+
+
+def test_fsum_rows_whole_array_route_allocates_one_temporary():
+    """verify's (205, 160) draw peaks at no more than 1.25x its input's bytes
+    (one temporary the size of the input, and the row vectors), and is left
+    unchanged."""
+    x = np.random.default_rng(205).standard_normal((205, 160)) ** 2
+    before = x.tobytes()
+    tracemalloc.start()
+    try:
+        fsum_rows(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes
+    assert x.tobytes() == before
 
 
 @pytest.mark.parametrize("m, n, whole", [
