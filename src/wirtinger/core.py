@@ -19,21 +19,30 @@ DEGENERATE_NORM = 1e-300
 
 # fsum_rows takes the whole-array route from this many entries (m*n) on, and calls
 # math.fsum row by row below it.  tests/fsum_crossover.py times both routes.  Whole-array
-# time over row-by-row time, medians of 3 runs (numpy 2.4, one Xeon core), on squared
-# Gaussian rows, whose sums the route certifies: m=1: 0.62 at n=1024, 0.33 at 2048,
-# 0.16 at 4096, 0.06 at 16384; m=2, n=1024: 0.33; m=5: 0.83 at n=160, 0.53 at 256,
-# 0.33 at 410, 0.27 at 512; m=10, n=160: 0.42; m=20: 0.94 at n=32, 0.21 at 160;
-# m=205: 0.72 at n=4, 0.38 at 9, 0.45 at 10, 0.05 at 160.  On centered rows, whose sums
-# cancel and go on to math.fsum, the ratio is 1.1-1.9 from 800 to 4096 entries and
-# 2.2-4.3 on 20 or 205 short rows.  The whole-array route costs 20-35 us however small
-# the array; a row of math.fsum about 0.25 us plus 0.04 us an entry.  Below 2048
-# entries the time that certified rows save is about what cancelling rows lose.
+# time over row-by-row time, two runs (numpy 2.4, one Xeon core), on squared Gaussian
+# rows, whose sums the route certifies: m=1: 0.51-0.55 at n=1024, 0.27-0.29 at 2048,
+# 0.11-0.15 at 4096, 0.05 at 16384; m=2, n=1024: 0.27-0.29; m=5: 0.72-0.74 at n=160,
+# 0.44-0.48 at 256, 0.30-0.33 at 410, 0.22-0.24 at 512; m=10, n=160: 0.31-0.39; m=20:
+# 0.75-0.83 at n=32, 0.20-0.27 at 160; m=205: 0.49-0.53 at n=4, 0.26-0.30 at 9,
+# 0.27-0.28 at 10, 0.13-0.14 at 20, 0.05-0.06 at 80 and 160.  On centered rows, whose
+# sums cancel and go on to math.fsum, the ratio is 0.8-1.5 from 2048 entries on and
+# 1.3-2.0 below.  The whole-array route costs 16-30 us on arrays of up to 2048 entries;
+# a row of math.fsum about 0.25 us plus 0.04 us an entry.  Below 2048 entries the time
+# that certified rows save is about what cancelling rows lose, and fdot's and fsum's
+# one-row sums are often of the cancelling kind.
 FSUM_ROWS_MIN_ENTRIES = 2048
 # The whole-array route leaves to math.fsum the arrays whose largest |entry| is
 # below _MIN_SCALE, and those whose sigma reaches _MAX_SIGMA, which may overflow
 # inside math.fsum (it then raises).
 _FSUM_ROWS_MIN_SCALE = 2.0**-900
 _FSUM_ROWS_MAX_SIGMA = sys.float_info.max / 8
+# sigma = 2**exponent is below _MAX_SIGMA exactly when exponent is below this
+_FSUM_ROWS_MAX_EXPONENT = math.frexp(_FSUM_ROWS_MAX_SIGMA)[1]
+# math.fsum reads a row shorter than this from one .tolist() of the rows, which
+# makes every float first (about 0.45 us a row of 5 entries, against 1.1 us through
+# a memoryview), and a longer row through a memoryview, which makes them one at a
+# time: from about 128 entries on that is faster, and twice as fast on a 2^20 row.
+_FSUM_LIST_MAX_N = 128
 
 
 def _require_size(n: int) -> None:
@@ -77,41 +86,55 @@ def fsum_rows(x) -> np.ndarray:
     |x| < 2**e, sigma = 2**(e + M), M = (n+1).bit_length() = ceil(log2(n+2)), so
     sigma >= 2**M * max|row| for every row.  Each high part (sigma + x) - sigma
     is then a multiple of u*sigma (u = 2**-53) of size at most sigma/2**M, so
-    every partial sum of a row's highs stays below sigma and their sum tau is
-    exact in any order.  Each low part x - high is exact, with |low| <= u*sigma,
-    so the float sum of a row's lows errs by at most gamma_{n-1} * n * u * sigma
-    (Higham, Accuracy and Stability, 2nd ed., ch. 4); `bound` doubles that,
-    which covers 1/(1 - (n-1)u) and its own rounding.  A TwoSum splits
-    tau + lows into r + t, so the exact sum lies within |t| + bound of r.  r is
-    the correctly rounded sum, as fsum's is, when that is strictly less than
-    half the spacing from |r| towards zero, the smaller of its two spacings.
-    Every other row goes through math.fsum: ties, zero sums, and rows far
-    below the array's scale, whose bound is loose against their sums.  The
-    whole array goes through math.fsum when an entry is inf or NaN, when every
-    entry is below 2**-900 (the lemma assumes no underflow), or when sigma
-    reaches DBL_MAX/8, where sums may overflow.
+    every partial sum of a row's highs is a multiple of u*sigma below sigma,
+    and their sum tau is exact in any order.  Each low part x - high is exact,
+    with |low| <= u*sigma, so the float sum of a row's lows errs by at most
+    gamma_{n-1} * n * u * sigma (Higham, Accuracy and Stability, 2nd ed.,
+    ch. 4), a bound that holds for every order of summation; `bound` doubles
+    that, which covers 1/(1 - (n-1)u) and its own rounding.  So both row sums
+    are taken by np.einsum, in whatever order it adds: on short rows it takes
+    about half the time of sum(axis=1).  A TwoSum splits tau + lows into r + t,
+    so the exact sum lies within |t| + bound of r.  r is the correctly rounded
+    sum, as fsum's is, when that is strictly less than half the spacing from
+    |r| towards zero, the smaller of its two spacings.  Every other row goes
+    through math.fsum: ties, zero sums, and rows far below the array's scale,
+    whose bound is loose against their sums.  The whole array goes through
+    math.fsum when an entry is inf or NaN, when every entry is below 2**-900
+    (the lemma assumes no underflow), or when sigma would reach DBL_MAX/8,
+    where sums may overflow; its exponent is tested before sigma is made.
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
     if m * n >= FSUM_ROWS_MIN_ENTRIES:
-        with np.errstate(all="ignore"):
-            scale = np.maximum(x.max(), -x.min())  # NaN if an entry is
-            sigma = np.ldexp(1.0, np.frexp(scale)[1] + (n + 1).bit_length())
-        if _FSUM_ROWS_MIN_SCALE <= scale < math.inf and sigma < _FSUM_ROWS_MAX_SIGMA:
+        scale = max(float(x.max()), -float(x.min()))  # NaN if an entry is
+        exponent = math.frexp(scale)[1] + (n + 1).bit_length()
+        if _FSUM_ROWS_MIN_SCALE <= scale < math.inf and exponent < _FSUM_ROWS_MAX_EXPONENT:
+            sigma = math.ldexp(1.0, exponent)
             high = x + sigma  # the one temporary: the highs, then the lows
             high -= sigma
-            tau = high.sum(axis=1)
-            lows = np.subtract(x, high, out=high).sum(axis=1)
+            tau = np.einsum("ij->i", high)
+            lows = np.einsum("ij->i", np.subtract(x, high, out=high))
             r = tau + lows
             v = r - tau
             t = (tau - (r - v)) + (lows - v)
             bound = sigma * (2.0 * n * (n - 1) * 2.0**-106)
             magnitude = np.abs(r)
             gap = magnitude - np.nextafter(magnitude, 0.0)
-            for i in np.flatnonzero(np.abs(t) + bound >= 0.5 * gap):
-                r[i] = math.fsum(memoryview(x[i]))
+            rows = (np.abs(t) + bound >= 0.5 * gap).nonzero()[0]
+            if rows.size:
+                r[rows] = _math_fsum_each(x, rows)
             return r
-    return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
+    return np.array(_math_fsum_each(x), dtype=float)
+
+
+def _math_fsum_each(x: np.ndarray, rows=None) -> list:
+    """math.fsum of each row of a 2-D array, or of the rows that the index
+    array `rows` picks: rows shorter than _FSUM_LIST_MAX_N from one .tolist()
+    of them, longer ones each through a memoryview of the row, with no copy."""
+    if x.shape[1] < _FSUM_LIST_MAX_N:
+        return [math.fsum(row) for row in (x if rows is None else x[rows]).tolist()]
+    indices = range(len(x)) if rows is None else rows.tolist()
+    return [math.fsum(memoryview(x[i])) for i in indices]
 
 
 def shift(x) -> np.ndarray:
@@ -131,7 +154,10 @@ def cyclic_correlation(x) -> float:
 def cyclic_correlation_rows(xs) -> np.ndarray:
     """cyclic_correlation of every row of an (m, n) array, with its bits and its exceptions."""
     xs = as_samples(xs, ndim=2)
-    return fsum_rows(xs * np.roll(xs, 1, axis=1))
+    products = np.empty_like(xs)
+    np.multiply(xs[:, 1:], xs[:, :-1], out=products[:, 1:])
+    np.multiply(xs[:, :1], xs[:, -1:], out=products[:, :1])
+    return fsum_rows(products)
 
 
 def center_normalize(x) -> np.ndarray:

@@ -130,7 +130,9 @@ def action_residuals(basis: CyclicBasis) -> dict[int, float]:
     would sum in another order and move the last digits.
     """
     n, v = basis.n, basis.vectors
-    residual = np.roll(v, 1, axis=1)
+    residual = np.empty_like(v)
+    residual[:, 1:] = v[:, :-1]
+    residual[:, 0] = v[:, -1]
     first = _first_rotation_row(n)
     cos_rows, sin_rows = v[first::2], v[first + 1::2]
     angles = _rotation_angles(n)

@@ -9,16 +9,18 @@ the crossover table above `core.FSUM_ROWS_MIN_ENTRIES`, the script times
 whole-array route) and to infinity (every row goes through math.fsum), best
 of 7 rounds each, and prints one line per shape:
 
-    m n route whole_us rows_us squared centered
+    m n route whole_us rows_us squared centered squared_left centered_left
 
 `whole_us` and `rows_us` are the two routes' times on squared Gaussian rows,
 whose sums the whole-array route certifies, and `squared` is their ratio,
 whole-array time over row-by-row time.  `centered` is that ratio on
 Gaussian rows less their mean, whose sums cancel, so that the whole-array
-route sends most rows on to math.fsum.  `route` is the one `fsum_rows` takes at that
-shape with the threshold as committed.  The script checks that both routes
-give the same bits, and asserts nothing about the timings.  Kept out of
-pytest's collection by its name.  Takes about 5 s.
+route sends most rows on to math.fsum.  `squared_left` and `centered_left`
+count the rows that the whole-array route leaves to math.fsum on each.
+`route` is the one `fsum_rows` takes at that shape with the threshold as
+committed.  The script checks that both routes give the same bits on each
+array and on its copy with the columns reversed, and asserts nothing about
+the timings.  Kept out of pytest's collection by its name.  Takes about 6 s.
 """
 
 import math
@@ -29,10 +31,11 @@ from pathlib import Path
 import numpy as np
 
 # (m, n): one long row, few long rows (canonical_residuals' 5 rows), a few
-# short ones, and verify's 205-row draws at the smallest sizes
+# short ones, and verify's 205-row draws at the smallest, middle and largest sizes
 SHAPES = [(1, 1024), (1, 2048), (1, 4096), (1, 16384), (2, 1024),
           (5, 160), (5, 256), (5, 410), (5, 512), (10, 160),
-          (20, 32), (20, 160), (205, 4), (205, 9), (205, 10), (205, 160)]
+          (20, 32), (20, 160), (205, 4), (205, 9), (205, 10), (205, 20),
+          (205, 80), (205, 160)]
 ROUNDS = 7
 ROUND_SECONDS = 0.02
 
@@ -53,24 +56,33 @@ def main(argv: list) -> int:
 
     threshold = core.FSUM_ROWS_MIN_ENTRIES
     print(f"# FSUM_ROWS_MIN_ENTRIES = {threshold}")
-    print("# m n route whole_us rows_us squared centered")
+    print("# m n route whole_us rows_us squared centered squared_left centered_left")
     rng = np.random.default_rng(2048)
+    fsum = math.fsum
     for m, n in SHAPES:
         gaussian = rng.standard_normal((m, n))
-        times = []
+        times, left = [], []
         for x in (gaussian**2, gaussian - gaussian.mean(axis=1, keepdims=True)):
             outputs = []
             for entries in (0, math.inf):  # the whole-array route, then row by row
                 core.FSUM_ROWS_MIN_ENTRIES = entries
                 times.append(_best_us(lambda: core.fsum_rows(x)))
-                outputs.append(core.fsum_rows(x).tobytes())
-            core.FSUM_ROWS_MIN_ENTRIES = threshold
-            if outputs[0] != outputs[1]:
-                print(f"fsum_rows' routes differ at ({m}, {n})", file=sys.stderr)
+                outputs += [core.fsum_rows(v).tobytes() for v in (x, x[:, ::-1])]
+            calls = []
+            core.FSUM_ROWS_MIN_ENTRIES = 0
+            math.fsum = lambda row: calls.append(1) or fsum(row)
+            try:
+                core.fsum_rows(x)
+            finally:
+                math.fsum = fsum
+                core.FSUM_ROWS_MIN_ENTRIES = threshold
+            left.append(len(calls))
+            if len(set(outputs)) != 1:  # the sums are correctly rounded in any order
+                print(f"fsum_rows' routes or column orders differ at ({m}, {n})", file=sys.stderr)
                 return 1
         route = "whole" if m * n >= threshold else "rows"
         print(f"{m} {n} {route} {times[0]:.1f} {times[1]:.1f} "
-              f"{times[0] / times[1]:.2f} {times[2] / times[3]:.2f}")
+              f"{times[0] / times[1]:.2f} {times[2] / times[3]:.2f} {left[0]} {left[1]}")
     return 0
 
 

@@ -168,6 +168,9 @@ def _assert_fsum_rows_bits_on_both_routes(rows):
 TINY = 2.0**-1074
 MAX = sys.float_info.max
 INF = math.inf
+# the largest scales of three-entry rows whose sigma is below DBL_MAX/8, and the smallest at it
+BELOW_SIGMA_EDGE = math.ldexp(1.0 - 2.0**-53, 1017)
+AT_SIGMA_EDGE = 2.0**1017
 
 
 @pytest.mark.parametrize("rows, raises", [
@@ -195,10 +198,32 @@ INF = math.inf
       [2.0**-900, 2.0**-953, 0.0]], None),
     # at DBL_MAX/(n+2), where sigma overflows, and at 1/64 of it, the largest scale extracted
     ([[MAX / 5, MAX / 5, -MAX / 5], [MAX / 320, MAX / 320, -MAX / 640]], None),
+    # sigma = 2**(e + 3) for three entries below 2**e: at 2**1020, the last power of two
+    # below DBL_MAX/8 (extracted), and at 2**1021, the first at or above it (math.fsum)
+    ([[BELOW_SIGMA_EDGE, -BELOW_SIGMA_EDGE / 3, BELOW_SIGMA_EDGE / 7],
+      [1.0, -BELOW_SIGMA_EDGE, BELOW_SIGMA_EDGE]], None),
+    ([[AT_SIGMA_EDGE, -AT_SIGMA_EDGE / 3, AT_SIGMA_EDGE / 7], [1.0, -AT_SIGMA_EDGE, AT_SIGMA_EDGE]],
+     None),
 ])
 def test_fsum_rows_pinned_cases(rows, raises):
     outcome = _assert_fsum_rows_bits_on_both_routes(rows)
     assert (outcome[0] if isinstance(outcome, tuple) else None) is raises
+
+
+@pytest.mark.parametrize("scale, extracted", [(BELOW_SIGMA_EDGE, True), (AT_SIGMA_EDGE, False)])
+def test_fsum_rows_sigma_edge_routes(scale, extracted, monkeypatch):
+    """Past the entry threshold, an array of three-entry rows whose scale puts
+    sigma at the last power of two below DBL_MAX/8 certifies its rows, and one
+    whose sigma is the next power of two sends every row to math.fsum."""
+    assert (math.ldexp(1.0, math.frexp(scale)[1] + 3) < core._FSUM_ROWS_MAX_SIGMA) is extracted
+    x = np.random.default_rng(1017).uniform(0.5, 1.0, (FSUM_ROWS_MIN_ENTRIES, 3)) * scale
+    x[0, 0] = scale
+    want = _fsum_each_row(x)
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or fsum(row))
+    assert fsum_rows(x).tobytes() == want.tobytes()
+    assert (len(calls) < len(x)) is extracted
 
 
 def test_fsum_rows_one_scale_sends_rows_far_below_it_to_fsum(monkeypatch):
@@ -213,7 +238,7 @@ def test_fsum_rows_one_scale_sends_rows_far_below_it_to_fsum(monkeypatch):
     want = _fsum_each_row(x)
     sent = []
     fsum = math.fsum
-    monkeypatch.setattr(math, "fsum", lambda row: sent.append(bytes(row)) or fsum(row))
+    monkeypatch.setattr(math, "fsum", lambda row: sent.append(np.array(row).tobytes()) or fsum(row))
     assert fsum_rows(x).tobytes() == want.tobytes()
     assert x[3].tobytes() in sent and x[7].tobytes() not in sent
 
@@ -319,7 +344,9 @@ def test_cyclic_correlation_rows_matches_per_row_bits(m, n):
 )
 def test_fsum_rows_matches_math_fsum_bits(m, n, seed, kind, exponent, specials):
     """Each row has math.fsum's bits, or raises as math.fsum does, on both
-    sides of the whole-array threshold, at any n and any scale."""
+    sides of the whole-array threshold, at any n and any scale, and so does
+    each row of the copy with its columns reversed, a view with negative
+    strides."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, n))
     if kind == "squared":
@@ -336,4 +363,5 @@ def test_fsum_rows_matches_math_fsum_bits(m, n, seed, kind, exponent, specials):
         x = np.ldexp(x, exponent)
     for position, value in specials:
         x.flat[position % x.size] = value
-    assert _fsum_outcome(fsum_rows, x) == _fsum_outcome(_fsum_each_row, x)
+    for v in (x, x[:, ::-1]):  # the same entries, added in the other order
+        assert _fsum_outcome(fsum_rows, v) == _fsum_outcome(_fsum_each_row, v)
