@@ -204,7 +204,7 @@ def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> tu
     for start in range(1, jmax + 1, HARMONIC_GROUP):
         js = range(start, min(start + HARMONIC_GROUP, jmax + 1))
         try:  # f(t) cos(jt), f(t) sin(jt) for j in js, as rows
-            sums = _period_integral(lambda t: _harmonic_rows(js, t) * f.value(t), tol)
+            sums = _period_integral(lambda t: _harmonic_rows(js, t, f.value(t)), tol)
         except QuadratureFailure:
             sums = None
         if sums is None:  # outside the handler, whose traceback would keep the failed frontier alive
@@ -214,10 +214,16 @@ def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> tu
     return tuple(coeffs)
 
 
-def _harmonic_rows(js: range, t: np.ndarray) -> np.ndarray:
-    """The rows cos(jt), sin(jt) for j in js."""
+def _harmonic_rows(js: range, t: np.ndarray, ft) -> np.ndarray:
+    """The rows ft cos(jt), ft sin(jt) for j in js, as one (2 len(js), t.size)
+    array: cos(jt) and sin(jt) are written into its (len(js), 2, t.size) layout,
+    and ft, f's values at t, multiplied into it in place."""
     jt = np.array(js, dtype=float)[:, None] * t
-    return np.stack((np.cos(jt), np.sin(jt)), axis=1).reshape(-1, t.size)
+    rows = np.empty((len(js), 2, t.size))
+    np.cos(jt, out=rows[:, 0])
+    np.sin(jt, out=rows[:, 1])
+    rows *= ft
+    return rows.reshape(-1, t.size)
 
 
 def _period_integral(g: Callable[[np.ndarray], np.ndarray], tol: float) -> float | list:

@@ -6,6 +6,7 @@ as CSV (default) or JSON lines, floats at 17 significant digits, LF endings.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -54,14 +55,16 @@ SAMPLE_MAX_N = 2**20
 HARMONICS_MAX_ABS_SUM = sys.float_info.max ** 0.5 / (2 * SAMPLE_MAX_N)
 
 # bounds writes each row as it is made, so its memory does not grow with the
-# sizes: 10^5 sizes take about 1.5 s at a peak RSS of 35 MiB, what importing the
-# package takes (90 MiB when the rows were held).  The cap bounds the run time.
+# sizes: 10^5 sizes take about 1.2 s (0.2 s of it start-up, on a 2-core Xeon) at
+# a peak RSS of 29 MiB, what importing the package takes (90 MiB when the rows
+# were held).  The cap bounds the run time.
 # The margin, about a^4/24 with a = 2*pi/n, is a normal double up to BOUNDS_MAX_N,
 # which correctly rounded square roots make the same on every platform.
 BOUNDS_MAX_SIZES = 100_000
 BOUNDS_MAX_N = int(TWO_PI / math.sqrt(math.sqrt(24 * sys.float_info.min)))
-# sweep's time grows with its total samples: `sweep --n 1048576` takes about 1.1 s,
-# and four sizes of 2^20 about 3.7 s.  The cap bounds the run time.
+# sweep's time grows with its total samples, and with the sizes' prime factors,
+# which set its real FFTs' time: `sweep --n 1048576` takes about 0.5 s, and
+# `--n 1048573..1048576` about 2.4 s.  The cap bounds the run time.
 SWEEP_MAX_SAMPLES = 4 * SAMPLE_MAX_N
 
 # per-check residual thresholds for `verify`; a --tol override replaces all of them
@@ -96,6 +99,7 @@ def parse_n_spec(text: str):
         raise ConfigError(f"cannot parse --n value {text!r}")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wirtinger",

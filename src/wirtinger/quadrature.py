@@ -27,7 +27,7 @@ MAX_DEPTH = 52
 # level) every depth doubles the open intervals, and breadth-first refinement
 # would widen the whole frontier long before any interval reaches MAX_DEPTH.
 # The budget stops a frontier that doubles at every depth at depth 18, with
-# 262,144 open intervals and 50 MiB allocated at the peak, for any number of
+# 262,144 open intervals and 34 MiB allocated at the peak, for any number of
 # components.  The largest count a passing call of the tests, demos or
 # benchmark takes is 352,136 (8 components, inside the failing `fourier
 # --harmonics=0,1e6 --n 16`), leaving aside one test that fills the budget on
@@ -108,57 +108,55 @@ def _integral(f, lo, hi, tol: float) -> np.ndarray:
     rows = values.shape[:-1]  # (c,) for c components
     evals, components = values.size, int(np.prod(rows))
     _check_budget(evals, MIN_DEPTH, 1 << MIN_DEPTH)
-    # The open intervals of one depth, along the last axis: `ends2` holds the
-    # ends of all their left halves, then of all their right halves, [lo | mid]
-    # and [mid | hi], `fends2` f there, `fm2` f at the halves' middles, `whole`
-    # their Simpson estimates, and `refining` the components that failed the
-    # error test on every larger interval around them (True for a 1-D f); an
-    # interval is open while one does.
+    # The k open intervals of one depth, along the last axis: `x` holds their
+    # ends and middles as rows a, m, b, `fx` f there, `q` the middles of their
+    # halves [a, m] and [m, b] as two rows, `fq` f there, `whole` their Simpson
+    # estimates, and `refining` the components that failed the error test on
+    # every larger interval around them (True for a 1-D f); an interval is open
+    # while one does.
     j = np.arange(0, t.size - 1, 4)  # the first points of the intervals of depth MIN_DEPTH
-    k = j.size
-    ends = np.concatenate((j, j + 2, j + 2, j + 4))
-    ends2, fends2 = t.take(ends), values.take(ends, axis=-1)
-    mids = np.concatenate((j + 1, j + 3))
-    quarters, fm2 = t.take(mids), values.take(mids, axis=-1)
+    ends, mids = j + np.array([[0], [2], [4]]), j + np.array([[1], [3]])
+    x, fx = t.take(ends), values.take(ends, axis=-1)
+    q, fq = t.take(mids), values.take(mids, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        whole = _simpson(fends2[..., :k], fends2[..., k : 2 * k], fends2[..., 3 * k :],
-                         ends2[3 * k :] - ends2[:k])
+        whole = _simpson(fx[..., 0, :], fx[..., 1, :], fx[..., 2, :], x[2] - x[0])
     for _ in range(MIN_DEPTH):
         tol = 0.5 * tol
     # per depth from MIN_DEPTH: the split intervals, the components that passed and their values
     levels, depth, refining = [], MIN_DEPTH, True
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            a2, b2 = ends2[: 2 * k], ends2[2 * k :]
-            fa2, fb2 = fends2[..., : 2 * k], fends2[..., 2 * k :]
-            halves = _simpson(fa2, fm2, fb2, b2 - a2)
-            estimate = halves[..., :k] + halves[..., k:]
+            halves = _simpson(fx[..., :2, :], fq, fx[..., 1:, :], x[1:] - x[:2])
+            estimate = halves[..., 0, :] + halves[..., 1, :]
             err = (estimate - whole) / 15.0
             passed = np.abs(err) <= tol
             failed = refining > passed
             split = failed.any(axis=0) if rows else failed
             levels.append((split, passed, (estimate + err)[passed]))
-            if depth >= MAX_DEPTH and split.any():
-                i = np.flatnonzero(split)[np.argmin(a2[:k][split])]  # the one recursion meets first
+            keep = split.nonzero()[0]
+            if depth >= MAX_DEPTH and keep.size:
+                i = keep[np.argmin(x[0].take(keep))]  # the one recursion meets first
                 raise QuadratureFailure(f"tolerance {tol:.3e} unreachable on "
-                                        f"[{a2[i]:.6g}, {b2[k + i]:.6g}] at depth {depth}")
-            # the split intervals' halves, out of the 2k halves and out of 4 such blocks
-            keep4 = np.flatnonzero(np.concatenate((split,) * 8))
-            keep2 = keep4[: keep4.size // 4]
-            ends2 = np.concatenate((a2, quarters, quarters, b2)).take(keep4)
-            fends2 = np.concatenate((fa2, fm2, fm2, fb2), axis=-1).take(keep4, axis=-1)
-            whole = halves.take(keep2, axis=-1)
+                                        f"[{x[0, i]:.6g}, {x[2, i]:.6g}] at depth {depth}")
+            # the split intervals' halves, all left halves and then all right ones:
+            # a, m, b of [a, m] and [m, b] are the rows a | m, q, m | b
+            k = 2 * keep.size
+            xk, fxk = x.take(keep, axis=1), fx.take(keep, axis=-1)
+            x = np.concatenate((xk[:2], q.take(keep, axis=1), xk[1:])).reshape(3, k)
+            fx = np.concatenate((fxk[..., :2, :], fq.take(keep, axis=-1), fxk[..., 1:, :]),
+                                axis=-2).reshape(rows + (3, k))
+            whole = halves.take(keep, axis=-1).reshape(rows + (k,))
             if rows:
-                refining = np.concatenate((failed, failed), axis=1).take(keep2, axis=1)
-            k = keep2.size
-            quarters = 0.5 * (ends2[: 2 * k] + ends2[2 * k :])
+                refining = failed.take(np.concatenate((keep, keep)), axis=1)
+            q = 0.5 * (x[:2] + x[1:])
         tol = 0.5 * tol
         depth += 1
         if not k:
             break
         _check_budget(evals + 2 * k * components, depth, k)
-        fm2 = _shaped(f(quarters), quarters, rows)
-        evals += fm2.size
+        points = q.reshape(-1)  # the left halves' middles, then the right halves'
+        fq = _shaped(f(points), points, rows).reshape(rows + (2, k))
+        evals += fq.size
 
     # Collapse bottom-up: a split interval's value is its left half's plus its
     # right half's, which lie in the two halves of the next depth's values.  A

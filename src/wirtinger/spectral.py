@@ -26,7 +26,6 @@ from .core import (
     _require_size,
     as_samples,
     cyclic_correlation_rows,
-    fsum_rows,
 )
 from .errors import DimensionMismatch, NonFinite
 
@@ -176,7 +175,9 @@ def canonical_form(y, basis: CyclicBasis) -> float:
 
 
 def _canonical_forms(ys: np.ndarray, basis: CyclicBasis) -> np.ndarray:
-    """canonical_form of every row of an (m, n) array of coordinates."""
+    """canonical_form of every row of an (m, n) array of coordinates, each
+    summed by math.fsum: never by fsum_rows' extraction, which the correlation
+    side of verify's canonical check may take."""
     squares = np.square(ys)
     first = _first_rotation_row(basis.n)
     terms = np.empty((len(ys), first + (basis.n - 1) // 2))
@@ -185,7 +186,7 @@ def _canonical_forms(ys: np.ndarray, basis: CyclicBasis) -> np.ndarray:
         terms[:, 1] = -squares[:, 1]
     cosines = [math.cos(a) for a in _rotation_angles(basis.n)]
     np.multiply(cosines, squares[:, first::2] + squares[:, first + 1::2], out=terms[:, first:])
-    return fsum_rows(terms)
+    return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 def canonical_residuals(xs, basis: CyclicBasis) -> np.ndarray:

@@ -14,6 +14,7 @@ from oracles import verify_residuals_per_vector
 from wirtinger.cli import (
     BOUNDS_MAX_N,
     BOUNDS_MAX_SIZES,
+    COMMANDS,
     HARMONICS_MAX_ABS_SUM,
     SAMPLE_MAX_N,
     SWEEP_MAX_SAMPLES,
@@ -513,6 +514,44 @@ def test_usage_errors_exit_2(capsys):
 
 def test_fourier_honours_tol():
     assert main(["fourier", "--fn", "sin1", "--n", "257", "--tol", "1e-300"]) == 1
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_cached_parser_keeps_no_option_of_an_earlier_call(capsys):
+    """A --tol given to one call is not seen by the next, which prints the
+    default thresholds."""
+    assert main(["verify", "--n", "4..6", "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().out.count("threshold=1.0e-03") == len(VERIFY_THRESHOLDS)
+    assert main(["verify", "--n", "4..6"]) == 0
+    out = capsys.readouterr().out
+    for name, limit in VERIFY_THRESHOLDS.items():
+        assert f"threshold={limit:.1e}" in next(line for line in out.splitlines()
+                                                if line.startswith(name))
+
+
+@pytest.mark.parametrize("bad", [["fourier", "--n", "16", "--jmax", "x"], ["verify", "--bogus"],
+                                 ["no-such-command"]])
+def test_cached_parser_after_a_usage_error(bad, capsys):
+    """A call that exits 2 from argparse leaves the next call its normal output."""
+    good = ["fourier", "--fn", "mix13", "--n", "16"]
+    assert main(good) == 0
+    want = capsys.readouterr()
+    assert main(bad) == 2
+    assert "usage: wirtinger" in capsys.readouterr().err
+    assert main(good) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("argv", [[], *([name] for name in COMMANDS)])
+def test_help_prints_the_same_bytes_twice(argv, capsys):
+    printed = []
+    for _ in range(2):
+        assert main([*argv, "--help"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0].startswith("usage: wirtinger")
 
 
 # Runs every subcommand through cli.main in a fresh interpreter and prints, per

@@ -153,6 +153,34 @@ def test_canonical_form_has_square_bits():
         assert canonical_form(y, build_basis(n)) == canonical_form_from_layout(y, n), n
 
 
+def _functions_called(fn, *args) -> set:
+    """The (module, name) of each Python function that fn(*args) enters."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+@pytest.mark.parametrize("n", [16, 512])
+def test_canonical_form_never_takes_fsum_rows(n):
+    """The form side of verify's canonical check sums by math.fsum, so it
+    shares no exact-sum kernel with the correlation side at any n."""
+    basis = build_basis(n)
+    y = np.random.default_rng(n).standard_normal(n)
+    called = _functions_called(canonical_form, y, basis)
+    assert ("wirtinger.spectral", "_canonical_forms") in called
+    assert ("wirtinger.core", "fsum_rows") not in called
+
+
 def test_canonical_residuals_match_per_vector_bits():
     """Each row's residual has the bits of coordinates, canonical_form and
     cyclic_correlation taken one vector at a time.  Two rows have |corr|
