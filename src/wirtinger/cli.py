@@ -317,8 +317,8 @@ def _random_residuals(basis, rng) -> tuple[float, float]:
 
     A draw of 5 + 200 rows consumes the stream as a draw of 5 and then one of
     200 do; only a degenerate row among the first 5 (probability about 0 for
-    Gaussian rows) would be replaced after all 205 instead.  The rows are freed
-    on return, before the next size is built.
+    Gaussian rows) would be replaced after all 205 instead.  The rows, and the
+    draw's (2, 205, n) scratch, are freed on return, before the next size is built.
     """
     xs = random_unit_zero_mean_rows(basis.n, 205, rng)
     return float(canonical_residuals(xs[:5], basis).max()), max_violation(xs[5:])

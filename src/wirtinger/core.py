@@ -77,7 +77,7 @@ def fsum(x) -> float:
     return float(fsum_rows(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def fsum_rows(x) -> np.ndarray:
+def fsum_rows(x, scratch=None) -> np.ndarray:
     """math.fsum of every row of a 2-D array, with its bits and its exceptions.
 
     Large arrays take all rows at once, by one round of error-free extraction
@@ -102,15 +102,19 @@ def fsum_rows(x) -> np.ndarray:
     math.fsum when an entry is inf or NaN, when every entry is below 2**-900
     (the lemma assumes no underflow), or when sigma would reach DBL_MAX/8,
     where sums may overflow; its exponent is tested before sigma is made.
+    `scratch`, float64 of x's shape and not overlapping x, may be the route's one temporary.
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
+    if scratch is not None and (scratch.shape != x.shape or scratch.dtype != np.float64
+                                or np.may_share_memory(x, scratch)):
+        raise ValueError("scratch must be a float64 array of x's shape that does not overlap x")
     if m * n >= FSUM_ROWS_MIN_ENTRIES:
         scale = max(float(x.max()), -float(x.min()))  # NaN if an entry is
         exponent = math.frexp(scale)[1] + (n + 1).bit_length()
         if _FSUM_ROWS_MIN_SCALE <= scale < math.inf and exponent < _FSUM_ROWS_MAX_EXPONENT:
             sigma = math.ldexp(1.0, exponent)
-            high = x + sigma  # the one temporary: the highs, then the lows
+            high = np.add(x, sigma, out=scratch)  # the highs, then the lows
             high -= sigma
             tau = np.einsum("ij->i", high)
             lows = np.einsum("ij->i", np.subtract(x, high, out=high))

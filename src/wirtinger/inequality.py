@@ -280,12 +280,14 @@ def random_unit_zero_mean_rows(n: int, m: int, rng: "np.random.Generator") -> np
 
     One standard_normal((m, n)) draw gives the same numbers as m draws of
     length n, and each row is centered and scaled by its own compensated sums.
+    One (2, m, n) block is both fsum_rows calls' scratch and holds the squares.
     A row whose centered norm is <= 1e-8 is dropped and the shortfall drawn
     again, which consumes the stream as a per-vector retry would.
     """
+    work = np.empty((2, m, n))
     xs = rng.standard_normal((m, n))
-    xs -= fsum_rows(xs)[:, None] / n
-    norms = np.sqrt(fsum_rows(np.square(xs)))
+    xs -= fsum_rows(xs, work[0])[:, None] / n
+    norms = np.sqrt(fsum_rows(np.square(xs, out=work[1]), work[0]))
     keep = norms > 1e-8
     if keep.all():
         xs /= norms[:, None]

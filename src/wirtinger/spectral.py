@@ -53,7 +53,8 @@ class CyclicBasis:
     """The shift-adapted orthonormal basis for a given n.
 
     `vectors` is an n x n read-only array whose row i is the basis vector
-    e_{i+1}.  `blocks` is block_layout(n), built on first read.
+    e_{i+1}.  `blocks` is block_layout(n), and `rotation_cos_sin` the read-only
+    (2, (n-1)//2) math.cos and math.sin of the rotation angles, each built on first read.
     """
 
     n: int
@@ -62,6 +63,13 @@ class CyclicBasis:
     @functools.cached_property
     def blocks(self) -> tuple:
         return block_layout(self.n)
+
+    @functools.cached_property
+    def rotation_cos_sin(self) -> np.ndarray:
+        angles = _rotation_angles(self.n)
+        table = np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
+        table.flags.writeable = False
+        return table
 
 
 def _first_rotation_row(n: int) -> int:
@@ -134,16 +142,17 @@ def action_residuals(basis: CyclicBasis) -> dict[int, float]:
     residual[:, 0] = v[:, -1]
     first = _first_rotation_row(n)
     cos_rows, sin_rows = v[first::2], v[first + 1::2]
-    angles = _rotation_angles(n)
-    c = np.array([math.cos(a) for a in angles])[:, None]
-    s = np.array([math.sin(a) for a in angles])[:, None]
+    c, s = basis.rotation_cos_sin[:, :, None]
     # the fixed blocks k = 0 and (n even) k = n/2, with eigenvalues +1 and -1
     residual[:first] -= np.array((1.0, -1.0)[:first])[:, None] * v[:first]
-    residual[first::2] -= c * cos_rows + s * sin_rows
-    residual[first + 1::2] -= -s * cos_rows + c * sin_rows
+    image, term = c * cos_rows, s * sin_rows
+    residual[first::2] -= np.add(image, term, out=image)
+    # c*sin - s*cos has the bits of -s*cos + c*sin: negation is exact
+    np.multiply(c, sin_rows, out=image)
+    residual[first + 1::2] -= np.subtract(image, np.multiply(s, cos_rows, out=term), out=image)
     norms = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])).ravel()
     out = dict(zip((0, n // 2)[:first], norms[:first].tolist()))
-    out.update(zip(range(1, len(angles) + 1),
+    out.update(zip(range(1, len(c) + 1),
                    np.maximum(norms[first::2], norms[first + 1::2]).tolist()))
     return out
 
@@ -184,8 +193,8 @@ def _canonical_forms(ys: np.ndarray, basis: CyclicBasis) -> np.ndarray:
     terms[:, 0] = squares[:, 0]
     if first == 2:
         terms[:, 1] = -squares[:, 1]
-    cosines = [math.cos(a) for a in _rotation_angles(basis.n)]
-    np.multiply(cosines, squares[:, first::2] + squares[:, first + 1::2], out=terms[:, first:])
+    np.multiply(basis.rotation_cos_sin[0], squares[:, first::2] + squares[:, first + 1::2],
+                out=terms[:, first:])
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 

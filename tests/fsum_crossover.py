@@ -9,18 +9,21 @@ the crossover table above `core.FSUM_ROWS_MIN_ENTRIES`, the script times
 whole-array route) and to infinity (every row goes through math.fsum), best
 of 7 rounds each, and prints one line per shape:
 
-    m n route whole_us rows_us squared centered squared_left centered_left
+    m n route whole_us rows_us scratch_us squared centered squared_left centered_left
 
 `whole_us` and `rows_us` are the two routes' times on squared Gaussian rows,
 whose sums the whole-array route certifies, and `squared` is their ratio,
-whole-array time over row-by-row time.  `centered` is that ratio on
+whole-array time over row-by-row time.  On verify's 205-row draws,
+`scratch_us` is the whole-array route's time on the same rows with a
+preallocated scratch, as `random_unit_zero_mean_rows` passes it (`-` on
+the other shapes).  `centered` is that ratio on
 Gaussian rows less their mean, whose sums cancel, so that the whole-array
 route sends most rows on to math.fsum.  `squared_left` and `centered_left`
 count the rows that the whole-array route leaves to math.fsum on each.
 `route` is the one `fsum_rows` takes at that shape with the threshold as
-committed.  The script checks that both routes give the same bits on each
-array and on its copy with the columns reversed, and asserts nothing about
-the timings.  Kept out of pytest's collection by its name.  Takes about 6 s.
+committed.  The script checks that both routes, each with and without a
+scratch, give the same bits on each array and on its copy with the columns
+reversed, and asserts nothing about the timings.  Kept out of pytest's collection by its name.  Takes about 6 s.
 """
 
 import math
@@ -56,11 +59,12 @@ def main(argv: list) -> int:
 
     threshold = core.FSUM_ROWS_MIN_ENTRIES
     print(f"# FSUM_ROWS_MIN_ENTRIES = {threshold}")
-    print("# m n route whole_us rows_us squared centered squared_left centered_left")
+    print("# m n route whole_us rows_us scratch_us squared centered squared_left centered_left")
     rng = np.random.default_rng(2048)
     fsum = math.fsum
     for m, n in SHAPES:
         gaussian = rng.standard_normal((m, n))
+        scratch = np.full((m, n), math.nan)
         times, left = [], []
         for x in (gaussian**2, gaussian - gaussian.mean(axis=1, keepdims=True)):
             outputs = []
@@ -68,6 +72,7 @@ def main(argv: list) -> int:
                 core.FSUM_ROWS_MIN_ENTRIES = entries
                 times.append(_best_us(lambda: core.fsum_rows(x)))
                 outputs += [core.fsum_rows(v).tobytes() for v in (x, x[:, ::-1])]
+                outputs += [core.fsum_rows(v, scratch).tobytes() for v in (x, x[:, ::-1])]
             calls = []
             core.FSUM_ROWS_MIN_ENTRIES = 0
             math.fsum = lambda row: calls.append(1) or fsum(row)
@@ -80,8 +85,16 @@ def main(argv: list) -> int:
             if len(set(outputs)) != 1:  # the sums are correctly rounded in any order
                 print(f"fsum_rows' routes or column orders differ at ({m}, {n})", file=sys.stderr)
                 return 1
+        scratch_us = "-"
+        if m == 205:  # verify's draw: its squares on the whole-array route, with a scratch
+            squared = gaussian**2
+            core.FSUM_ROWS_MIN_ENTRIES = 0
+            try:
+                scratch_us = f"{_best_us(lambda: core.fsum_rows(squared, scratch)):.1f}"
+            finally:
+                core.FSUM_ROWS_MIN_ENTRIES = threshold
         route = "whole" if m * n >= threshold else "rows"
-        print(f"{m} {n} {route} {times[0]:.1f} {times[1]:.1f} "
+        print(f"{m} {n} {route} {times[0]:.1f} {times[1]:.1f} {scratch_us} "
               f"{times[0] / times[1]:.2f} {times[2] / times[3]:.2f} {left[0]} {left[1]}")
     return 0
 

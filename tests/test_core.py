@@ -333,8 +333,9 @@ def test_cyclic_correlation_rows_matches_per_row_bits(m, n):
     assert cyclic_correlation_rows(xs).tobytes() == want.tobytes()
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+# (m, n) arrays on both sides of the whole-array threshold, at any scale, with
+# inf and NaN entries among the specials
+fsum_rows_inputs = given(
     m=st.integers(1, 120),
     n=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
@@ -342,11 +343,9 @@ def test_cyclic_correlation_rows_matches_per_row_bits(m, n):
     exponent=st.integers(-8, 8) | st.integers(-1100, 1030),  # unit scale, or any scale
     specials=st.lists(st.tuples(st.integers(0, 10**6), st.floats()), max_size=4),
 )
-def test_fsum_rows_matches_math_fsum_bits(m, n, seed, kind, exponent, specials):
-    """Each row has math.fsum's bits, or raises as math.fsum does, on both
-    sides of the whole-array threshold, at any n and any scale, and so does
-    each row of the copy with its columns reversed, a view with negative
-    strides."""
+
+
+def _fsum_rows_input(m, n, seed, kind, exponent, specials) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, n))
     if kind == "squared":
@@ -363,5 +362,58 @@ def test_fsum_rows_matches_math_fsum_bits(m, n, seed, kind, exponent, specials):
         x = np.ldexp(x, exponent)
     for position, value in specials:
         x.flat[position % x.size] = value
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@fsum_rows_inputs
+def test_fsum_rows_matches_math_fsum_bits(m, n, seed, kind, exponent, specials):
+    """Each row has math.fsum's bits, or raises as math.fsum does, on both
+    sides of the whole-array threshold, at any n and any scale, and so does
+    each row of the copy with its columns reversed, a view with negative
+    strides."""
+    x = _fsum_rows_input(m, n, seed, kind, exponent, specials)
     for v in (x, x[:, ::-1]):  # the same entries, added in the other order
         assert _fsum_outcome(fsum_rows, v) == _fsum_outcome(_fsum_each_row, v)
+
+
+@settings(max_examples=80, deadline=None)
+@fsum_rows_inputs
+def test_fsum_rows_with_scratch_matches_without(m, n, seed, kind, exponent, specials):
+    """With a scratch full of NaN, C-ordered or column-major, fsum_rows has the
+    bits of fsum_rows without one, or raises as it does, on both routes: on
+    cancelling rows, ties, zero sums, inf and NaN, and entries below 2**-900.
+    x is left unchanged."""
+    x = _fsum_rows_input(m, n, seed, kind, exponent, specials)
+    for v in (x, x[:, ::-1]):
+        before = v.tobytes()
+        for scratch in (np.full((m, n), math.nan), np.full((n, m), math.nan).T):
+            got = _fsum_outcome(lambda a: fsum_rows(a, scratch), v)
+            assert got == _fsum_outcome(fsum_rows, v)
+            assert v.tobytes() == before
+
+
+@pytest.mark.parametrize("m, n", [(5, 8), (205, 10)])  # the rows route, the whole-array one
+def test_fsum_rows_rejects_a_scratch_of_another_shape_dtype_or_overlapping_x(m, n):
+    block = np.random.default_rng(n).standard_normal((2, m, n))
+    x = block[0]
+    fsum_rows(x, block[1])  # the other half of one block does not overlap x
+    for scratch in (np.empty((m, n + 1)), np.empty((n, m)), np.empty(m * n),
+                    np.empty((m, n), dtype=np.float32), x, x[:, ::-1],
+                    block.reshape(2 * m, n)[m // 2:m // 2 + m]):
+        with pytest.raises(ValueError, match="scratch"):
+            fsum_rows(x, scratch)
+
+
+def test_fsum_rows_with_scratch_allocates_no_temporary():
+    """verify's (205, 160) draw with a scratch peaks below a quarter of its
+    input's bytes: the row vectors only."""
+    x = np.random.default_rng(205).standard_normal((205, 160)) ** 2
+    scratch = np.empty_like(x)
+    tracemalloc.start()
+    try:
+        fsum_rows(x, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 4

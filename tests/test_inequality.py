@@ -31,6 +31,7 @@ from wirtinger import (
     random_unit_zero_mean_rows,
 )
 from wirtinger import inequality
+from wirtinger.core import FSUM_ROWS_MIN_ENTRIES
 
 SLACK_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -203,6 +204,25 @@ def test_rows_redraw_degenerate_row():
     seq = np.array([random_unit_zero_mean_per_vector(n, seq_rng) for _ in range(5)])
     assert rows.tobytes() == seq.tobytes()
     assert rows_rng.served == seq_rng.served == 6
+
+
+@pytest.mark.parametrize("n, m, degenerate", [
+    (10, 205, None), (160, 205, None), (512, 5, None), (2048, 3, 1)])
+def test_rows_hand_fsum_rows_a_scratch_past_the_entry_threshold(n, m, degenerate, monkeypatch):
+    """Every fsum_rows call of the draw at m*n >= FSUM_ROWS_MIN_ENTRIES gets a
+    scratch, the redraw's too (n = 2048, one constant row), and the rows are
+    those of the per-row reference."""
+    queued = np.random.default_rng([n, m]).standard_normal((m + 1, n))
+    if degenerate is not None:
+        queued[degenerate] = 3.0
+    calls = []
+    fsum_rows = inequality.fsum_rows
+    monkeypatch.setattr(inequality, "fsum_rows", lambda x, scratch=None: calls.append(
+        (x.size, scratch is not None)) or fsum_rows(x, scratch))
+    rows = random_unit_zero_mean_rows(n, m, RowQueue(queued))
+    assert rows.tobytes() == random_unit_zero_mean_rows_per_row(n, m, RowQueue(queued)).tobytes()
+    assert len(calls) == 2 * (1 + (degenerate is not None))
+    assert all(with_scratch for size, with_scratch in calls if size >= FSUM_ROWS_MIN_ENTRIES)
 
 
 def _slack_outcome(f, xs):

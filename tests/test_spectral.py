@@ -42,6 +42,7 @@ from wirtinger.spectral import (
 )
 
 GRAM_TOL = 1e-12
+TWO_PI = 2.0 * math.pi
 ACTION_TOL = 1e-12
 EQUIV_REL_TOL = 1e-11
 # sizes on which the whole-array kernels must give the per-vector and
@@ -129,6 +130,18 @@ def test_action_residuals_match_per_vector_rolls_bits():
     for n in BIT_SIZES:
         basis = build_basis(n)
         assert action_residuals(basis) == action_residuals_per_vector(basis), n
+
+
+def test_rotation_cos_sin_are_math_cos_and_sin_once_per_basis():
+    """The basis' rotation values are math.cos and math.sin of 2*pi*k/n, bit for
+    bit, read-only, and built once: a second read returns the same array."""
+    for n in range(4, 65):
+        basis = build_basis(n)
+        table = basis.rotation_cos_sin
+        ks = range(1, (n - 1) // 2 + 1)
+        want = [[math.cos(TWO_PI * k / n) for k in ks], [math.sin(TWO_PI * k / n) for k in ks]]
+        assert table.tobytes() == np.array(want).tobytes() and not table.flags.writeable, n
+        assert basis.rotation_cos_sin is table
 
 
 def test_canonical_form_matches_rebuilt_layout_bits():
