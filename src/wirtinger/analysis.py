@@ -195,9 +195,9 @@ def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> tu
     """Fourier coefficients (j, a_j, b_j), j = 1..jmax, by adaptive quadrature:
     a_j = (1/pi) * integral of f(t) cos(jt), b_j = (1/pi) * integral of f(t) sin(jt).
 
-    HARMONIC_GROUP harmonics refine together, as rows of one integrand that
-    evaluates f once per point, with the bits of one integral at a time; a
-    group that fails is redone that way, so it fails where and as those do."""
+    HARMONIC_GROUP harmonics refine together, as rows of one integrand that evaluates
+    f once per point, with the bits of one integral at a time; a group that fails is
+    redone as one one-row integrand per integral, so it fails where and as those do."""
     if jmax < 1:
         raise InvalidSize(f"need jmax >= 1, got {jmax}")
     coeffs = []
@@ -208,7 +208,7 @@ def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> tu
         except QuadratureFailure:
             sums = None
         if sums is None:  # outside the handler, whose traceback would keep the failed frontier alive
-            sums = [_period_integral(lambda t: f.value(t) * trig(j * t), tol)
+            sums = [_period_integral(lambda t: (f.value(t) * trig(j * t))[None], tol)[0]
                     for j in js for trig in (np.cos, np.sin)]
         coeffs += [(j, a / math.pi, b / math.pi) for j, a, b in zip(js, sums[0::2], sums[1::2])]
     return tuple(coeffs)
@@ -226,13 +226,12 @@ def _harmonic_rows(js: range, t: np.ndarray, ft) -> np.ndarray:
     return rows.reshape(-1, t.size)
 
 
-def _period_integral(g: Callable[[np.ndarray], np.ndarray], tol: float) -> float | list:
-    """Integral of g over [0, 2*pi], as PERIOD_PIECES equal pieces to absolute
-    tol, one call each, summed with math.fsum; for g of rows, a list of one per row."""
+def _period_integral(g: Callable[[np.ndarray], np.ndarray], tol: float) -> list:
+    """The integrals over [0, 2*pi] of g's rows, one per row: PERIOD_PIECES equal
+    pieces to absolute tol, one call each, summed with math.fsum."""
     pieces = np.array([adaptive_simpson(g, lo, hi, tol=tol / PERIOD_PIECES)
                        for lo, hi in zip(_EDGES, _EDGES[1:])])
-    sums = [math.fsum(row) for row in np.atleast_2d(pieces.T).tolist()]
-    return sums if pieces.ndim > 1 else sums[0]
+    return [math.fsum(row) for row in pieces.T.tolist()]
 
 
 def _trig_polynomial(terms, label: str) -> PeriodicFunction:

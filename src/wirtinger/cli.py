@@ -351,7 +351,7 @@ def _cmd_verify(cfg) -> int:
         print(f"{name:<10} max_residual={residuals[name]:.3e} "
               f"threshold={thresholds[name]:.1e} {'pass' if passed else 'FAIL'}")
     if cfg.out:
-        _atomic_write(cfg.out, _render(rows, cfg.fmt))
+        _emit(rows, cfg)
     return 0 if all_pass else 1
 
 
@@ -386,7 +386,3 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

@@ -299,8 +299,8 @@ def random_unit_zero_mean_rows(n: int, m: int, rng: "np.random.Generator") -> np
 def max_violation(xs) -> float:
     """max(0, -slack) over the rows of an (m, n) array, each checked as by check_inequality.
 
-    A row that _require_constraints passes has |x|^2 <= 1 + 2e-10, so its numpy
-    correlation errs by at most gamma_n |x|^2: a float slack above 2*n*eps decides it.
+    A row that _require_constraints passes has |x|^2 <= 1 + 2e-10, so its numpy correlation
+    errs by <= gamma_n |x|^2: a float slack above 2*n*eps decides it, else check_inequality_rows.
     """
     xs = _require_constraints(xs)
     n = xs.shape[1]
@@ -308,5 +308,4 @@ def max_violation(xs) -> float:
     slack = discrete_bound(n) - correlations
     if slack.min() > 2 * n * EPS:
         return 0.0
-    undecided = xs[slack <= 2 * n * EPS]
-    return max(0.0, -float((discrete_bound(n) - cyclic_correlation_rows(undecided)).min()))
+    return max(0.0, -float(check_inequality_rows(xs[slack <= 2 * n * EPS]).min()))

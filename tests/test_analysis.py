@@ -390,14 +390,14 @@ def test_period_integral_does_not_alias(j):
     335 a piece ending at the golden-ratio point of the period sees a slow
     alias of sin^2(jt) that does not integrate to its mean.  j = 127 is the
     control."""
-    got = _period_integral(lambda t: np.sin(j * t) ** 2, 1e-10)
+    (got,) = _period_integral(lambda t: (np.sin(j * t) ** 2)[None], 1e-10)
     assert got == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_period_integral_of_a_near_alias():
     """cos(400t)cos(14t) has the harmonics 386 and 414; each aliases to an
     integer frequency on the pieces' nodes, and integrates to 0."""
-    got = _period_integral(lambda t: np.cos(400 * t) * np.cos(14 * t), 1e-10)
+    (got,) = _period_integral(lambda t: (np.cos(400 * t) * np.cos(14 * t))[None], 1e-10)
     assert got == pytest.approx(0.0, abs=1e-10)
 
 
@@ -460,7 +460,7 @@ def test_fourier_quadrature_has_the_per_point_bits(f, jmax):
 def test_high_harmonic_integrands_have_the_per_point_bits(terms, j):
     f = _mix(terms)
     value = _per_point(f)
-    got = _period_integral(lambda t: f.value(t) * np.sin(j * t), 1e-10)
+    (got,) = _period_integral(lambda t: (f.value(t) * np.sin(j * t))[None], 1e-10)
     want = period_integral_per_point(lambda t: value(t) * math.sin(j * t), 1e-10, PERIOD_PIECES)
     assert _bits([got]) == _bits([want])
 
@@ -495,6 +495,32 @@ def test_fourier_quadrature_redoes_a_failed_group_one_integral_at_a_time(monkeyp
         adaptive_simpson(rows, *piece, tol=1e-10 / PERIOD_PIECES)
     got = fourier_quadrature(f, 12)
     assert [_bits(c) for c in got] == [_bits(c) for c in want]
+
+
+def test_fourier_quadrature_redoes_sin_500t_one_integral_at_a_time():
+    """sin 500t at jmax = 8, with the budget as it is: the 16 rows of the
+    shared frontier exhaust it on the first piece, and each integral alone
+    passes.  Each coefficient has the bits of five 1-D integrals summed with
+    math.fsum, and for j = 1 those of the per-point recursion too."""
+    f = harmonic_mix([0.0] * 999 + [1.0])
+    piece = (0.0, TWO_PI / PERIOD_PIECES)
+    rows = lambda t: np.array([f.value(t) * trig(j * t) for j in range(1, 9)
+                               for trig in (np.cos, np.sin)])
+    with pytest.raises(QuadratureFailure, match="evaluation budget"):
+        adaptive_simpson(rows, *piece, tol=1e-10 / PERIOD_PIECES)
+    edges = [TWO_PI * i / PERIOD_PIECES for i in range(PERIOD_PIECES + 1)]
+
+    def one_at_a_time(g):
+        return math.fsum(adaptive_simpson(g, lo, hi, tol=1e-10 / PERIOD_PIECES)
+                         for lo, hi in zip(edges, edges[1:]))
+
+    want = [(j, one_at_a_time(lambda t: f.value(t) * np.cos(j * t)) / math.pi,
+             one_at_a_time(lambda t: f.value(t) * np.sin(j * t)) / math.pi) for j in range(1, 9)]
+    got = fourier_quadrature(f, 8)
+    assert [_bits(c) for c in got] == [_bits(c) for c in want]
+    value = _per_point(f)
+    a1 = period_integral_per_point(lambda t: value(t) * math.cos(t), 1e-10, PERIOD_PIECES)
+    assert _bits([got[0][1]]) == _bits([a1 / math.pi])
 
 
 @pytest.mark.parametrize("amplitude", [1e6, 1e8])

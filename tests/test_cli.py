@@ -608,6 +608,18 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     assert [c for c in runs[0] if runs[0][c] != runs[1][c]] == []
 
 
+def test_module_entry_point_prints_what_main_prints(capsys):
+    """`python -m wirtinger` runs the CLI: its stdout is main's, byte for byte."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "wirtinger", "bounds", "--n", "4..8"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert main(["bounds", "--n", "4..8"]) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
 def test_import_leaves_numpy_random_unloaded():
     """Importing the package and its CLI loads no numpy.random (about 10 ms):
     only `verify` draws random vectors, so no other command pays for it."""
