@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, _require_size, center_normalize, fdot, fsum
+from .core import TWO_PI, _normalize_centered, _require_size, fdot, fsum
 from .errors import InvalidSize, NonFinite, QuadratureFailure, RangeError
 from .pwl import energy_h1, energy_l2
 from .quadrature import _first_call, adaptive_simpson
@@ -57,7 +57,8 @@ class _TrigSeries:
         in order to a total that starts at +0.0."""
         total = 0.0
         for j, a, b in self.terms:
-            total += a * np.cos(j * t) + b * np.sin(j * t)
+            jt = j * t
+            total += a * np.cos(jt) + b * np.sin(jt)
         return total
 
 
@@ -143,7 +144,7 @@ def rayleigh_sweep(f: PeriodicFunction, ns) -> tuple:
         centered = x - mean
         e2 = energy_l2(centered)
         h1 = energy_h1(centered)
-        u = center_normalize(x)
+        u = _normalize_centered(centered)  # center_normalize(x), in centered's place
         d = u - np.roll(u, 1)
         # cos(2pi/n) - <u,Su>/<u,u> without subtracting two numbers near 1
         slack = fdot(d, d) / (2.0 * fdot(u, u)) - 2.0 * math.sin(math.pi / n) ** 2

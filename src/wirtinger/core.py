@@ -170,10 +170,16 @@ def center_normalize(x) -> np.ndarray:
     Raises DegenerateVector for (numerically) constant input.
     """
     v = as_samples(x)
-    centered = v - fsum(v) / v.size
+    return _normalize_centered(v - fsum(v) / v.size)
+
+
+def _normalize_centered(centered: np.ndarray) -> np.ndarray:
+    """center_normalize of a sample vector from its first centering pass,
+    the vector less fsum(vector) / n, which it overwrites and returns."""
     # rounding leaves the first pass a mean of order ulp(x); a second pass removes it
-    centered -= fsum(centered) / v.size
+    centered -= fsum(centered) / centered.size
     norm = math.sqrt(fdot(centered, centered))
     if norm < DEGENERATE_NORM:
         raise DegenerateVector("constant vector has no centered direction")
-    return centered / norm
+    centered /= norm
+    return centered

@@ -33,6 +33,7 @@ class PiecewiseLinear:
 
     knots: np.ndarray
     _grid: np.ndarray = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False)
     _slope: np.ndarray = field(init=False, repr=False)
     _wide: np.ndarray | None = field(init=False, repr=False)
 
@@ -43,6 +44,7 @@ class PiecewiseLinear:
         # grid[m] holds the value at t = 2*pi*m/n: grid[0] = grid[n] = x_n, grid[n + 1] = x_1
         grid = np.concatenate((k[-1:], k, k[:1]))
         object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_scale", k.size / TWO_PI)  # knot-index units per unit of t
         with np.errstate(over="ignore"):
             slope = grid[1:] - grid[:-1]
         # Segments whose difference overflows (knots near +-DBL_MAX) are taken as
@@ -63,7 +65,7 @@ class PiecewiseLinear:
         """
         with np.errstate(invalid="ignore"):
             tt = np.asarray(t, dtype=float)
-            u = (tt % TWO_PI) * (self.n / TWO_PI)
+            u = (tt % TWO_PI) * self._scale
             nearest = np.rint(u)
             below = np.floor(u)
             snapped = np.abs(u - nearest) <= KNOT_SNAP_ULPS * np.maximum(1.0, u)

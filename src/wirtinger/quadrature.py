@@ -27,12 +27,13 @@ MAX_DEPTH = 52
 # level) every depth doubles the open intervals, and breadth-first refinement
 # would widen the whole frontier long before any interval reaches MAX_DEPTH.
 # The budget stops a frontier that doubles at every depth at depth 18, with
-# 262,144 open intervals and 34 MiB allocated at the peak, for any number of
-# components.  The largest count a passing call of the tests, demos or
-# benchmark takes is 352,136 (8 components, inside the failing `fourier
-# --harmonics=0,1e6 --n 16`), leaving aside one test that fills the budget on
-# purpose; `fourier --fn cos1 --jmax 64 --n 257` takes 262,160, and the largest
-# one-component integral 205,041.  The forced depths' one call is checked
+# 262,144 open intervals, for any number of components: a NaN integrand
+# allocates 35.3 MiB at the peak (tracemalloc), and the failing
+# `fourier_quadrature(harmonic_mix([0, 1e6]), 3)` 42.2 MiB.  The largest count
+# a passing call of the tests, demos or benchmark takes is 352,136 (8
+# components, inside the failing `fourier --harmonics=0,1e6 --n 16`), leaving
+# aside one test that fills the budget on purpose; `fourier --fn cos1 --jmax 64
+# --n 257` takes 262,160, and the largest one-component integral 205,041.  The forced depths' one call is checked
 # after it returns, at depth MIN_DEPTH.
 EVAL_BUDGET = 2**20
 # Bisections forced before an interval may be accepted.  Guards against
@@ -40,6 +41,12 @@ EVAL_BUDGET = 2**20
 # trigonometric products sampled at multiples of pi/2), which would
 # otherwise pass the error test instantly.  One call evaluates their points.
 MIN_DEPTH = 6
+
+# Where the forced depths' points hold the 2**MIN_DEPTH intervals of depth
+# MIN_DEPTH, one a column: their ends and middles as rows a, m, b, and their
+# quarter-points as two rows
+_ENDS = np.arange(0, 4 << MIN_DEPTH, 4) + np.array([[0], [2], [4]])
+_MIDS = np.arange(0, 4 << MIN_DEPTH, 4) + np.array([[1], [3]])
 
 _CONTRACT = "must take a 1-D float array and return values of the same shape"
 
@@ -114,15 +121,15 @@ def _integral(f, lo, hi, tol: float) -> np.ndarray:
     # estimates, and `refining` the components that failed the error test on
     # every larger interval around them (True for a 1-D f); an interval is open
     # while one does.
-    j = np.arange(0, t.size - 1, 4)  # the first points of the intervals of depth MIN_DEPTH
-    ends, mids = j + np.array([[0], [2], [4]]), j + np.array([[1], [3]])
-    x, fx = t.take(ends), values.take(ends, axis=-1)
-    q, fq = t.take(mids), values.take(mids, axis=-1)
+    x, fx = t.take(_ENDS), values.take(_ENDS, axis=-1)
+    q, fq = t.take(_MIDS), values.take(_MIDS, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         whole = _simpson(fx[..., 0, :], fx[..., 1, :], fx[..., 2, :], x[2] - x[0])
     for _ in range(MIN_DEPTH):
         tol = 0.5 * tol
-    # per depth from MIN_DEPTH: the split intervals, the components that passed and their values
+    # per depth from MIN_DEPTH: the indices of the split intervals, every
+    # interval's corrected estimate (estimate + err, which the collapse
+    # overwrites at the split ones), and for rows the components that passed
     levels, depth, refining = [], MIN_DEPTH, True
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -132,9 +139,12 @@ def _integral(f, lo, hi, tol: float) -> np.ndarray:
             passed = np.abs(err) <= tol
             failed = refining > passed
             split = failed.any(axis=0) if rows else failed
-            levels.append((split, passed, (estimate + err)[passed]))
             keep = split.nonzero()[0]
-            if depth >= MAX_DEPTH and keep.size:
+            estimate += err
+            levels.append((keep, estimate, passed if rows else None))
+            if not keep.size:
+                break
+            if depth >= MAX_DEPTH:
                 i = keep[np.argmin(x[0].take(keep))]  # the one recursion meets first
                 raise QuadratureFailure(f"tolerance {tol:.3e} unreachable on "
                                         f"[{x[0, i]:.6g}, {x[2, i]:.6g}] at depth {depth}")
@@ -151,26 +161,26 @@ def _integral(f, lo, hi, tol: float) -> np.ndarray:
             q = 0.5 * (x[:2] + x[1:])
         tol = 0.5 * tol
         depth += 1
-        if not k:
-            break
         _check_budget(evals + 2 * k * components, depth, k)
         points = q.reshape(-1)  # the left halves' middles, then the right halves'
         fq = _shaped(f(points), points, rows).reshape(rows + (2, k))
         evals += fq.size
 
-    # Collapse bottom-up: a split interval's value is its left half's plus its
-    # right half's, which lie in the two halves of the next depth's values.  A
-    # component that passed takes its own value instead; below that interval it
-    # no longer refines, and its values there are never read.  The forced
-    # depths split every interval, and their intervals are in order, so each
-    # value is the sum of the next depth's pair.
-    below = np.empty(rows + (0,))
+    # Collapse bottom-up, in place: a split interval's value is its left
+    # half's plus its right half's, which lie in the two halves of the next
+    # depth's values, and is written over its estimate.  For rows, a component
+    # that passed on a split interval keeps its own estimate; below that
+    # interval it no longer refines, and its values there are never read.  The
+    # deepest depth splits nothing.  The forced depths split every interval,
+    # and their intervals are in order, so each value is the sum of the next
+    # depth's pair.
+    below = levels.pop()[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for split, passed, accepted in reversed(levels):
-            value = np.zeros(passed.shape)
-            m = below.shape[-1] // 2
-            value[..., split] = below[..., :m] + below[..., m:]
-            value[passed] = accepted
+        for keep, value, passed in reversed(levels):
+            sums = below[..., : keep.size] + below[..., keep.size :]
+            if passed is not None:
+                np.copyto(sums, value.take(keep, axis=-1), where=passed.take(keep, axis=-1))
+            value[..., keep] = sums
             below = value
         for _ in range(MIN_DEPTH):
             below = below[..., 0::2] + below[..., 1::2]

@@ -15,11 +15,15 @@ that every output below is byte for byte the same.
   quadrature groups, and the three `fourier --harmonics=... --n 16` calls
   whose quadrature fails at the rounding level (exit code and stderr);
 - the two CLI calls of the benchmark's `limit` workload on seeds 1..10;
+- the benchmark's `crosscheck` job on seeds 1..10: 40 pairs of adaptive
+  Simpson of L_X^2 at tol 1e-10 and `energy_l2`, on the seeded knots that
+  `bench/workloads.py::Crosscheck` draws (rebuilt here, not imported);
 - each `ACCEPTANCE` line of tests/test_acceptance.py;
 - the stdout of each script under demos/.
 
-A CLI output is its exit code, stdout, stderr and `--out` file.  Wall times
-differ between identical runs, so they are left out: the sweep's
+That is 144 lines.  A CLI output is its exit code, stdout, stderr and
+`--out` file; a crosscheck job's is its exit code, stdout and stderr.  Wall
+times differ between identical runs, so they are left out: the sweep's
 `elapsed_ms` column and the elapsed seconds at the end of ACCEPTANCE 01.
 Kept out of pytest's collection by its name.  Takes about a minute on two
 cores.
@@ -40,6 +44,19 @@ TIMING_COLUMN = "elapsed_ms"
 ACCEPTANCE_LINE = re.compile(r"ACCEPTANCE (\d\d) .*")
 ACCEPTANCE_ELAPSED = re.compile(r" in \d+\.\ds$")
 WORKERS = 2
+CROSSCHECK_SEEDS = range(1, 11)
+# bench/workloads.py::Crosscheck's job on the seed given as argv[1]
+CROSSCHECK = """
+import math, sys
+import numpy as np
+from wirtinger import pwl, quadrature
+rng = np.random.default_rng(int(sys.argv[1]))
+for n in np.rint(np.linspace(4, 64, 40)).astype(int).tolist():
+    x = rng.standard_normal(n) * 2.0
+    interp = pwl.PiecewiseLinear(x)
+    quad = quadrature.adaptive_simpson(lambda t: interp(t) ** 2, 0.0, 2.0 * math.pi, tol=1e-10)
+    print(repr(quad), repr(pwl.energy_l2(x)))
+"""
 
 
 def _run(root: Path, args: list) -> subprocess.CompletedProcess:
@@ -120,6 +137,11 @@ def acceptance_lines(root: Path) -> list:
             for m in lines]
 
 
+def crosscheck_output(root: Path, seed: int) -> str:
+    done = _run(root, ["-c", CROSSCHECK, str(seed)])
+    return _sha(str(done.returncode), done.stdout, done.stderr)
+
+
 def demo_output(root: Path, script: Path) -> str:
     done = _run(root, [str(script)])
     return _sha(str(done.returncode), done.stdout)
@@ -135,8 +157,10 @@ def main(argv: list) -> int:
             concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
         calls = cli_outputs(root, workdir)
         cli = pool.map(lambda call: _cli(root, call[1]), calls)
+        crosscheck = pool.map(lambda seed: crosscheck_output(root, seed), CROSSCHECK_SEEDS)
         demo = pool.map(lambda script: demo_output(root, script), demos)
         results = list(zip((name for name, _ in calls), cli))
+        results += [(f"crosscheck-seed{s}", h) for s, h in zip(CROSSCHECK_SEEDS, crosscheck)]
         results += acceptance_lines(root)
         results += [(f"demo-{script.stem}", h) for script, h in zip(demos, demo)]
     for name, digest in results:

@@ -95,6 +95,8 @@ def test_center_normalize_fixed_point():
 def test_center_normalize_constant_degenerate():
     with pytest.raises(DegenerateVector):
         center_normalize([5.0, 5.0, 5.0, 5.0])
+    with pytest.raises(DegenerateVector):
+        core._normalize_centered(np.zeros(4))
 
 
 @given(vectors)
@@ -133,6 +135,36 @@ def test_center_normalize_postconditions_at_scale():
         out = center_normalize(rng.standard_normal(n) * 100 + 7)
         assert abs(float(np.sum(out))) <= 1e-14 * max(1.0, np.abs(out).max()) * n
         assert abs(fdot(out, out) - 1.0) <= 1e-13
+
+
+def _two_pass_normalize(v: np.ndarray):
+    """The bytes of center_normalize's two centering passes and its scaling,
+    written out, or the type of what it raises."""
+    centered = v - math.fsum(v.tolist()) / v.size
+    centered = centered - math.fsum(centered.tolist()) / v.size
+    norm = math.sqrt(math.fsum((centered * centered).tolist()))
+    if norm < core.DEGENERATE_NORM:
+        return DegenerateVector
+    return (centered / norm).tobytes()
+
+
+def _normalize_outcome(f):
+    try:
+        return f().tobytes()
+    except DegenerateVector:
+        return DegenerateVector
+
+
+@given(st.one_of(vectors, st.builds(np.full, st.integers(1, 64), finite_floats)))
+@example(np.array([838858.9999999999, 838858.9999999999, 838471.0, 838726.0, 838595.0]))
+@example(np.full(4, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_normalize_centered_has_center_normalize_bits(x):
+    """rayleigh_sweep's route, the helper on the vector less its fsum mean,
+    gives center_normalize's bits, and raises DegenerateVector where it does."""
+    expected = _two_pass_normalize(x)
+    assert _normalize_outcome(lambda: center_normalize(x)) == expected
+    assert _normalize_outcome(lambda: core._normalize_centered(x - fsum(x) / x.size)) == expected
 
 
 def _fsum_outcome(f, x):
