@@ -181,15 +181,22 @@ def fourier_discrete(f: PeriodicFunction, n: int, jmax: int) -> tuple:
     a_j = (2/n) Re X_j and b_j = -(2/n) Im X_j.  Requires n >= 2*jmax + 2 so
     the first jmax harmonics occupy distinct blocks (aliasing guard).
     """
-    if jmax < 1:
-        raise InvalidSize(f"need jmax >= 1, got {jmax}")
-    if n < 2 * jmax + 2:
-        raise InvalidSize(f"need n >= 2*jmax+2 = {2 * jmax + 2} to resolve jmax={jmax}, got n={n}")
+    _require_resolvable(n, jmax)
     # sample() starts at t_1; rolling puts f(t_n) = f(0) first
     spectrum = np.fft.rfft(np.roll(sample(f, n), 1))[1 : jmax + 1] * (2.0 / n)
     # 0.0 - imag, not -imag: a zero imaginary part gives b_j = 0.0, never "-0"
     coeffs = zip(range(1, jmax + 1), spectrum.real.tolist(), (0.0 - spectrum.imag).tolist())
     return tuple(coeffs)
+
+
+def _require_resolvable(n: int, jmax: int) -> None:
+    """fourier_discrete's guard: jmax >= 1, and the aliasing guard n >= 2*jmax + 2.
+    The CLI runs it before it starts either column, so a usage error is not
+    reported only after the quadrature has run."""
+    if jmax < 1:
+        raise InvalidSize(f"need jmax >= 1, got {jmax}")
+    if n < 2 * jmax + 2:
+        raise InvalidSize(f"need n >= 2*jmax+2 = {2 * jmax + 2} to resolve jmax={jmax}, got n={n}")
 
 
 def fourier_quadrature(f: PeriodicFunction, jmax: int, tol: float = 1e-10) -> tuple:

@@ -13,12 +13,14 @@ import os
 import stat
 import sys
 import tempfile
+import threading
 
 import numpy as np
 
 from .analysis import (
     FUNCTION_NAMES,
     PeriodicFunction,
+    _require_resolvable,
     fourier_discrete,
     fourier_quadrature,
     harmonic_mix,
@@ -275,10 +277,30 @@ def _cmd_sweep(cfg) -> int:
 
 
 def _cmd_fourier(cfg) -> int:
-    n = cfg.ns[0]
+    """The discrete table runs on a helper thread while this one integrates: both
+    are numpy work that releases the GIL, so on two cores they overlap.  Its
+    exception is raised first, as when it ran first; its size guard runs here,
+    before either starts, so a usage error does not wait for the quadrature."""
+    n, jmax = cfg.ns[0], cfg.jmax
     tol = cfg.tol if cfg.tol is not None else 1e-3
-    discrete = fourier_discrete(cfg.fn, n, cfg.jmax)
-    quad = fourier_quadrature(cfg.fn, cfg.jmax)
+    _require_resolvable(n, jmax)
+    outcome = []  # the discrete table, or what it raised
+
+    def discrete_table():
+        try:
+            outcome.append(fourier_discrete(cfg.fn, n, jmax))
+        except BaseException as exc:  # re-raised on the calling thread
+            outcome.append(exc)
+
+    helper = threading.Thread(target=discrete_table, name="fourier_discrete")
+    helper.start()
+    try:
+        quad = fourier_quadrature(cfg.fn, jmax)
+    finally:
+        helper.join()
+        if isinstance(outcome[0], BaseException):
+            raise outcome.pop()
+    discrete = outcome.pop()
     rows = []
     worst = 0.0
     for (j, ad, bd), (_, aq, bq) in zip(discrete, quad):

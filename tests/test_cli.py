@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 from oracles import verify_residuals_per_vector
 
+from wirtinger import cli
+from wirtinger.analysis import fourier_discrete, named_function
 from wirtinger.cli import (
     BOUNDS_MAX_N,
     BOUNDS_MAX_SIZES,
@@ -25,6 +28,7 @@ from wirtinger.cli import (
     main,
     parse_n_spec,
 )
+from wirtinger.errors import InvalidSize, NonFinite
 
 SWEEP_HEADER = "n,mean,energy_l2,energy_h1,slack,tail_energy,elapsed_ms"
 FOURIER_HEADER = "j,a_discrete,b_discrete,a_quad,b_quad,abs_err_a,abs_err_b"
@@ -371,6 +375,74 @@ def test_fourier_quadrature_fails_fast_at_the_rounding_level(capsys):
     assert captured.err.startswith("numerical failure: ")
 
 
+def test_fourier_aliasing_guard_is_checked_before_the_quadrature(tmp_path, capsys):
+    """The discrete table's size guard runs before either column starts: at
+    jmax = 1000 the quadrature alone would take about a minute before the
+    same usage error."""
+    out = tmp_path / "never.csv"
+    with pytest.raises(InvalidSize) as library:
+        fourier_discrete(named_function("sin1"), 16, 1000)
+    start = time.perf_counter()
+    assert main(["fourier", "--fn", "sin1", "--n", "16", "--jmax", "1000",
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {library.value}\n"
+    assert not os.listdir(tmp_path)
+
+
+def _discrete_raising(error):
+    def fails(f, n, jmax):
+        raise error("the discrete table failed")
+    return fails
+
+
+@pytest.mark.parametrize("argv, rc, err", [
+    (["fourier", "--fn", "mix13", "--n", "257", "--jmax", "8"], 0, ""),
+    (["fourier", "--harmonics=0,1e6", "--n", "16"], 1, "numerical failure: evaluation budget"),
+], ids=["passes", "quadrature fails"])
+def test_fourier_leaves_no_thread_behind(argv, rc, err, capsys):
+    """fourier's helper thread is joined before main returns, whether the run
+    passes or its quadrature fails."""
+    before = threading.active_count()
+    assert main(argv) == rc
+    assert threading.active_count() == before
+    assert capsys.readouterr().err.startswith(err)
+
+
+@pytest.mark.parametrize("quadrature", ["passes", "fails"])
+@pytest.mark.parametrize("error, rc, prefix", [(InvalidSize, 2, "error: "),
+                                               (NonFinite, 1, "numerical failure: ")])
+def test_fourier_reports_the_discrete_error_first(quadrature, error, rc, prefix,
+                                                  monkeypatch, capsys):
+    """An exception of the discrete table is the one reported, with its exit
+    code, as when it ran before the quadrature, even if the quadrature also
+    fails; and the helper thread is joined."""
+    monkeypatch.setattr(cli, "fourier_discrete", _discrete_raising(error))
+    fn = ["--fn", "sin1"] if quadrature == "passes" else ["--harmonics=0,1e6"]
+    before = threading.active_count()
+    assert main(["fourier", *fn, "--n", "16"]) == rc
+    assert threading.active_count() == before
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}the discrete table failed\n"
+
+
+def test_fourier_runtime_warning_on_the_helper_still_fails(monkeypatch):
+    """A numpy RuntimeWarning raised in the discrete table, which runs on the
+    helper thread, reaches the caller as the configured error, as in serial."""
+    def warns(f, n, jmax):
+        np.sqrt(np.array([-1.0]))  # invalid value
+        return fourier_discrete(f, n, jmax)
+
+    monkeypatch.setattr(cli, "fourier_discrete", warns)
+    before = threading.active_count()
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        main(["fourier", "--fn", "sin1", "--n", "16"])
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("harmonics, tail", [("0,0,1", 1.0), ("1,0,0.5,0", 0.25)])
 def test_sweep_tail_at_four(harmonics, tail, capsys):
     """At n = 4 the alternating line k = 2 is the tail: cos 2t gives 1 and
@@ -606,6 +678,38 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
         runs.append(result)
     assert all(r["rc"] == 0 for r in runs[0].values())
     assert [c for c in runs[0] if runs[0][c] != runs[1][c]] == []
+
+
+# Runs `wirtinger <argv>` through cli.main, on the one CPU named by the first
+# argument if it is not empty, and exits with main's code.
+_PINNED_CHILD = """
+import os, sys
+if sys.argv[1]:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+    assert os.sched_getaffinity(0) == {int(sys.argv[1])}
+from wirtinger.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="CPU affinity is not available on this platform")
+def test_fourier_on_one_cpu_prints_the_same_bytes():
+    """A limit-sized fourier, whose discrete table runs on a helper thread,
+    prints the same bytes pinned to one CPU as unpinned."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["fourier", "--harmonics=0.3,-0.7,0.5,0.1,-0.9,0.2,0.4,-0.6", "--n", "65536",
+            "--jmax", "8"]
+    printed = []
+    for cpu in (str(min(os.sched_getaffinity(0))), ""):
+        done = subprocess.run([sys.executable, "-c", _PINNED_CHILD, cpu, *argv], env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout)
+    assert printed[0] == printed[1]
+    assert printed[0].count(b"\n") == 9
 
 
 def test_module_entry_point_prints_what_main_prints(capsys):
