@@ -297,7 +297,8 @@ def random_unit_zero_mean_rows(n: int, m: int, rng: "np.random.Generator") -> np
 
 
 def max_violation(xs) -> float:
-    """max(0, -slack) over the rows of an (m, n) array, each checked as by check_inequality.
+    """max(0, -slack) over the rows of an (m, n) array, each checked as by check_inequality;
+    a NaN among the exact slacks is returned, where max(0.0, nan) would drop it.
 
     A row that _require_constraints passes has |x|^2 <= 1 + 2e-10, so its numpy correlation
     errs by <= gamma_n |x|^2: a float slack above 2*n*eps decides it, else check_inequality_rows.
@@ -308,4 +309,5 @@ def max_violation(xs) -> float:
     slack = discrete_bound(n) - correlations
     if slack.min() > 2 * n * EPS:
         return 0.0
-    return max(0.0, -float(check_inequality_rows(xs[slack <= 2 * n * EPS]).min()))
+    worst = -float(check_inequality_rows(xs[slack <= 2 * n * EPS]).min())
+    return worst if not worst <= 0.0 else 0.0  # +0.0 for -0.0, as max(0.0, x) gives

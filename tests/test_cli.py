@@ -189,6 +189,44 @@ def test_verify_unachievable_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+NAN = math.nan
+VERIFY_N = ["verify", "--n", "4..8"]
+MAXIMIZE_N = ["maximize", "--n", "4..8"]
+
+
+@pytest.mark.parametrize("argv, route, patched, printed", [
+    (VERIFY_N, "_gram_residual", lambda orig: lambda v: NAN, "gram       max_residual=nan"),
+    (VERIFY_N, "verify_action", lambda orig: lambda b: NAN, "action     max_residual=nan"),
+    (VERIFY_N, "_random_residuals", lambda orig: lambda b, rng: (NAN, orig(b, rng)[1]),
+     "canonical  max_residual=nan"),
+    (VERIFY_N, "_random_residuals", lambda orig: lambda b, rng: (orig(b, rng)[0], NAN),
+     "slack      max_residual=nan"),
+    (VERIFY_N, "oracle_max", lambda orig: lambda n: (NAN, orig(n)[1]),
+     "oracle     max_residual=nan"),
+    (MAXIMIZE_N, "oracle_max", lambda orig: lambda n: (NAN, orig(n)[1]), "8,nan,"),
+    (["fourier", "--fn", "sin1", "--n", "64", "--jmax", "3"], "fourier_quadrature",
+     lambda orig: lambda f, jmax: [(j, NAN, NAN) for j, _, _ in orig(f, jmax)], ",nan,nan\n"),
+    (MAXIMIZE_N, "extremal_span_residual", lambda orig: lambda x: NAN, ",nan\n"),
+    (["bounds", "--n", "4..8"], "bound_comparison",
+     lambda orig: lambda n: orig(n)._replace(margin=NAN), ",nan\n"),
+    (["bounds", "--n", "4..8", "--format", "jsonl"], "bound_comparison",
+     lambda orig: lambda n: orig(n)._replace(margin=NAN), '"margin": NaN}'),
+], ids=["gram", "action", "canonical", "slack", "oracle", "maximize oracle", "fourier",
+        "maximize span", "bounds", "bounds jsonl"])
+def test_a_nan_in_any_checked_route_fails_its_command(argv, route, patched, printed,
+                                                      monkeypatch, capsys):
+    """A NaN residual fails its command with exit 1 and prints as nan (NaN in
+    JSON lines): every rule is a comparison that a NaN fails, and verify's
+    running maxima keep a NaN."""
+    monkeypatch.setattr(cli, route, patched(getattr(cli, route)))
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert printed in out
+    if argv[0] == "verify":  # the patched check alone fails
+        lines = out.splitlines()
+        assert [x for x in lines if x.endswith("FAIL")] == [x for x in lines if printed in x]
+
+
 def test_bounds_stdout(capsys):
     assert main(["bounds", "--n", "4..100"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -215,7 +253,8 @@ def test_bounds_margin_is_normal_at_its_cap(capsys):
 
 def test_bounds_writes_each_row_as_it_is_made(capsys, monkeypatch):
     """By the time one size's row is computed, the rows before it are
-    written: bounds holds no table, whatever the number of sizes."""
+    written: bounds holds no table, whatever the number of sizes, while its
+    exit-code rule reads each row as it passes."""
     from wirtinger import cli
 
     original = cli.bound_comparison
@@ -226,9 +265,11 @@ def test_bounds_writes_each_row_as_it_is_made(capsys, monkeypatch):
         return original(n)
 
     monkeypatch.setattr(cli, "bound_comparison", comparing)
-    assert main(["bounds", "--n", "4..8"]) == 0
-    assert new_lines == [0, 2, 1, 1, 1]  # the header comes with the first row
-    assert capsys.readouterr().out.count("\n") == 1
+    for spec, sizes in (("4..8", 5), ("4..1000", 997)):
+        new_lines.clear()
+        assert main(["bounds", "--n", spec]) == 0
+        assert new_lines == [0, 2] + [1] * (sizes - 2)  # the header comes with the first row
+        assert capsys.readouterr().out.count("\n") == 1
 
 
 def test_bounds_file_byte_deterministic(tmp_path):

@@ -349,6 +349,17 @@ def test_max_violation_matches_per_row_on_extremal_rows():
     assert min(slacks) < 0.0 < max(slacks)
 
 
+def test_max_violation_keeps_a_nan_slack(monkeypatch):
+    """Extremal rows at n = 16 are all decided by the exact slacks; a NaN among
+    them is returned, where max(0.0, -nan) gave 0.0."""
+    r = math.sqrt(2.0 / 16)
+    xs = np.array([extremal_vector(16, r * math.cos(t), r * math.sin(t))
+                   for t in np.linspace(0.0, TWO_PI, 25)])
+    monkeypatch.setattr(inequality, "check_inequality_rows",
+                        lambda rows: np.full(len(rows), np.nan))
+    assert math.isnan(max_violation(xs))
+
+
 @st.composite
 def near_extremal_rows(draw):
     """(m, n) rows: center_normalize of cos(t + phase) + eps*noise, or of pure noise."""

@@ -108,6 +108,16 @@ def test_action_residual(n):
     assert verify_action(build_basis(n)) <= ACTION_TOL
 
 
+def test_verify_action_keeps_a_nan_in_any_block(monkeypatch):
+    """A NaN block residual is the maximum wherever it sits; Python's max() over
+    the blocks kept it only when it came first."""
+    from wirtinger import spectral
+
+    blocks = {0: 1e-16, 1: math.nan, 2: 2e-16}
+    monkeypatch.setattr(spectral, "action_residuals", lambda basis: blocks)
+    assert math.isnan(verify_action(build_basis(4)))
+
+
 @pytest.mark.parametrize("n", [4, 5, 12, 128])
 def test_action_rotates_by_plus_angle(n):
     """Every block, rotation planes included, matches the shift's image with
