@@ -1,3 +1,3 @@
-from .cli import console_main
+from .cli import main
 
-console_main()
+raise SystemExit(main())

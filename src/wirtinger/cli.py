@@ -1,8 +1,8 @@
 """Command line front end: verification suites, bound tables, sweeps, Fourier tables.
 
 Exit codes: 0 all checks pass, 1 a numerical check failed (a NaN fails), 2 bad usage/config.
-Tables go to --out (written atomically: temp file then rename) or stdout,
-as CSV (default) or JSON lines, floats at 17 significant digits, LF endings.
+Tables go to --out (written atomically: temp file then rename) or stdout, LF endings,
+as CSV (default; floats %.17g) or JSON lines (floats as the shortest round-trip repr).
 """
 
 import argparse
@@ -389,7 +389,3 @@ def main(argv=None) -> int:
             ConstraintViolation, DegenerateVector) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-
-
-def console_main() -> None:
-    sys.exit(main())

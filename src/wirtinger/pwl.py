@@ -53,10 +53,6 @@ class PiecewiseLinear:
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_wide", wide if wide.any() else None)
 
-    @property
-    def n(self) -> int:
-        return self.knots.size
-
     def __call__(self, t):
         """Evaluate at t (scalar or array); t is reduced modulo 2*pi.
 

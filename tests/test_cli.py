@@ -494,13 +494,35 @@ def test_sweep_tail_at_four(harmonics, tail, capsys):
     assert row["tail_energy"] == pytest.approx(tail, abs=1e-15)
 
 
-def test_sweep_jsonl_format(capsys):
-    assert main(["sweep", "--fn", "sin1", "--n", "8,16", "--format", "jsonl"]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 2
-    for line in lines:
+@pytest.mark.parametrize("argv, rows", [
+    (["bounds", "--n", "4..9"], 6),
+    (["maximize", "--n", "4..9"], 6),
+    (["fourier", "--fn", "mix13", "--n", "64", "--jmax", "4"], 4),
+    (["sweep", "--fn", "sin1", "--n", "8,16"], 2),
+    (["verify", "--n", "4..9"], 5),
+], ids=["bounds", "maximize", "fourier", "sweep", "verify"])
+def test_jsonl_format(argv, rows, tmp_path):
+    """JSON lines hold the CSV table's columns in its order, and each cell parses
+    to the same value: an int, a string, or a float of the same bits (CSV prints
+    %.17g, JSON lines the shortest repr that round-trips).  Only sweep's
+    elapsed_ms, a timing, may differ between the two runs."""
+    out = {}
+    for fmt in ("csv", "jsonl"):
+        path = tmp_path / f"table.{fmt}"
+        assert main([*argv, "--format", fmt, "--out", str(path)]) == 0
+        out[fmt] = path.read_text().splitlines()
+    header, *csv_rows = out["csv"]
+    assert len(csv_rows) == len(out["jsonl"]) == rows
+    for csv_row, line in zip(csv_rows, out["jsonl"]):
         row = json.loads(line)
-        assert set(row) == set(SWEEP_HEADER.split(","))
+        assert list(row) == header.split(",")
+        for (key, value), cell in zip(row.items(), csv_row.split(",")):
+            if key == "elapsed_ms":
+                continue
+            if isinstance(value, float):
+                assert float(cell).hex() == value.hex(), key
+            else:
+                assert cell == str(value), key
 
 
 def test_fourier_schema_and_determinism(tmp_path):

@@ -30,7 +30,7 @@ from wirtinger import (
     piecewise_bound,
     random_unit_zero_mean_rows,
 )
-from wirtinger import inequality
+from wirtinger import cli, inequality
 from wirtinger.core import FSUM_ROWS_MIN_ENTRIES
 
 SLACK_TOL = 1e-12
@@ -485,6 +485,21 @@ def test_oracle_max_newton_step_cap(monkeypatch):
     monkeypatch.setattr(inequality, "NEWTON_MAX_STEPS", 5)
     with pytest.raises(ConvergenceFailure, match="5 Newton steps"):
         oracle_max(64)
+
+
+def test_oracle_max_residual_gate(monkeypatch, capsys):
+    """A pivot guard far above LAPACK's stops Newton short of the eigenvalue, and
+    the residual gate then fails the library call and both commands that call it."""
+    monkeypatch.setattr(inequality, "PIVMIN", 1e-4)
+    for n in (8, 16, 64, 257, 512):
+        with pytest.raises(ConvergenceFailure, match=r"eigensolver residual .* exceeds 1e-12"):
+            oracle_max(n)
+    monkeypatch.setattr(inequality, "PIVMIN", 1e-3)
+    for command in ("maximize", "verify"):
+        assert cli.main([command, "--n", "16"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: eigensolver residual 3.022e-04 exceeds 1e-12\n"
 
 
 def test_oracle_max_size_limits():
